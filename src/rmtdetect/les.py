@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ContractError, DivergenceError, NumericalFailureError, ParameterError
-from .rmm import covariance, ring_product, standardize
+from .rmm import StandardizedMatrix, covariance, ring_product, standardize
 from .rng import SeedLike, as_generator, derived_seed
 from .spectral import (
     MarchenkoPastur,
@@ -134,6 +134,34 @@ def les(spectrum, f: TestFunction, clamp: bool = False) -> float:
                 vals = np.maximum(vals, LOG_CLAMP)
     out = float(np.sum(f.phi(vals)))
     return out / len(vals) if f.averaged else out
+
+
+def window_taus(
+    x: StandardizedMatrix,
+    L: int,
+    functions: Sequence[TestFunction],
+    seed: SeedLike,
+) -> Dict[str, float]:
+    """tau of each test function, by name, on one standardized window.
+
+    The per-window pipeline the sweep and both Monte Carlo oracles share.
+    MSR is the mean modulus of the spectrum of the L-deep ring product of x,
+    with Haar draws from `seed` (consumed only here); every other function
+    sums phi over the spectrum of M = XX^H/N, clamping log-domain inputs.
+    """
+    ring = [f for f in functions if f.name in RING_FUNCTIONS]
+    cov = [f for f in functions if f.name not in RING_FUNCTIONS]
+    out: Dict[str, float] = {}
+    if ring:
+        rp = ring_product([x] * L, seed)
+        lam = eigen_general(rp.values, N=x.N, T=x.T, L=L)
+        for f in ring:
+            out[f.name] = les(lam, f, clamp=True)
+    if cov:
+        lam = eigen_hermitian(covariance(x, "M"), T=x.T, c=x.c)
+        for f in cov:
+            out[f.name] = les(lam, f, clamp=True)
+    return out
 
 
 def lln_expectation(f: TestFunction, d: ReferenceDensity, N: int, rtol: float = 1e-8) -> float:
@@ -268,20 +296,19 @@ def mc_covariance_les(
     """Mean and variance of tau over Gaussian trials on M = XX^H / N.
 
     standardized=False samples the i.i.d. ensemble the fluctuation theorem
-    addresses; standardized=True runs the detection pipeline's row
-    standardization first, which shrinks the variance substantially.
+    addresses; standardized=True runs the sweep's kernel, window_taus, on the
+    row-standardized window, which shrinks the variance substantially.
     """
     rng = as_generator(seed)
     taus = np.empty(reps)
     for i in range(reps):
         x = rng.standard_normal((N, T))
         if standardized:
-            m = covariance(standardize(x), "M")
-            lam = eigen_hermitian(m).eigenvalues
+            taus[i] = window_taus(standardize(x), 1, (f,), rng)[f.name]
         else:
             h = x @ x.T
             lam = np.linalg.eigvalsh((h + h.T) / 2.0 / N)
-        taus[i] = les(lam, f, clamp=True)
+            taus[i] = les(lam, f, clamp=True)
     return float(taus.mean()), float(taus.var(ddof=1))
 
 
@@ -300,9 +327,9 @@ def mc_ring_msr(
 
     The asymptotic radial moments carry a visible finite-size bias already
     at N ~ 100 (and a larger one for small regional blocks), so detection
-    references calibrate both moments here. The trial mirrors the sweep
-    pipeline exactly: one Gaussian window, fed to an L-deep product with
-    independent Haar draws. Results are cached per parameter tuple.
+    references calibrate both moments here. Each trial runs window_taus,
+    the sweep's own kernel, on one standardized Gaussian window. Results
+    are cached per parameter tuple.
     """
     key = (N, T, L, reps, seed_base)
     with _ring_cache_lock:
@@ -312,9 +339,7 @@ def mc_ring_msr(
     for i in range(reps):
         rng = as_generator(derived_seed(seed_base, 0xCA11B, N, T, L, i))
         x = standardize(rng.standard_normal((N, T)))
-        rp = ring_product([x] * L, rng)
-        lam = eigen_general(rp.values, N=N, T=T, L=L).eigenvalues
-        vals[i] = float(np.abs(lam).mean())
+        vals[i] = window_taus(x, L, (MSR,), rng)["MSR"]
     out = (float(vals.mean()), float(vals.var(ddof=1)))
     with _ring_cache_lock:
         _ring_cache[key] = out

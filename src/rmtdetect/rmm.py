@@ -16,7 +16,7 @@ realized row variance to exactly 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -72,7 +72,6 @@ class RingProduct:
 
     values: np.ndarray
     L: int
-    seed_entropy: Optional[Tuple[int, ...]] = None
 
     @property
     def N(self) -> int:
@@ -125,7 +124,7 @@ def standardize(
     """
     if policy not in DEGENERATE_POLICIES:
         raise ParameterError(f"rmm: unknown degenerate-row policy {policy!r}")
-    X = _as_array(w).copy()
+    X = _as_array(w)
     mu = X.mean(axis=1, keepdims=True)
     sd = X.std(axis=1, keepdims=True)
     flat = np.flatnonzero(sd.ravel() == 0.0)
@@ -137,6 +136,7 @@ def standardize(
             raise DegenerateRowError(f"rmm: zero-variance rows: {names}")
         rng = as_generator(seed)
         noise = rng.normal(0.0, 1.0, size=(flat.size, X.shape[1]))
+        X = X.copy()  # the caller's array stays untouched
         X[flat] += JITTER_SCALE * (1.0 + np.abs(mu[flat])) * noise
         mu = X.mean(axis=1, keepdims=True)
         sd = X.std(axis=1, keepdims=True)
@@ -206,22 +206,7 @@ def ring_product(windows: Sequence[StandardizedMatrix], seed: SeedLike) -> RingP
     sd = np.sqrt((np.abs(z - mu) ** 2).mean(axis=1, keepdims=True))
     if (sd == 0).any():
         raise DegenerateRowError("rmm: ring product produced a constant row")
-    return RingProduct(z / (np.sqrt(n) * sd), L=len(windows), seed_entropy=_entropy_of(seed))
-
-
-def _entropy_of(seed: SeedLike) -> Optional[Tuple[int, ...]]:
-    """Best-effort record of the entropy behind a seed, for provenance."""
-    if isinstance(seed, (int, np.integer)):
-        return (int(seed),)
-    if isinstance(seed, (list, tuple)):
-        return tuple(int(s) for s in seed)
-    if isinstance(seed, np.random.SeedSequence):
-        ent = seed.entropy
-        if isinstance(ent, (int, np.integer)):
-            return (int(ent),)
-        if ent is not None:
-            return tuple(int(e) for e in np.atleast_1d(ent))
-    return None
+    return RingProduct(z / (np.sqrt(n) * sd), L=len(windows))
 
 
 def covariance(x: StandardizedMatrix, convention: str = "M") -> CovarianceMatrix:

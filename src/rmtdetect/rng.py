@@ -1,8 +1,9 @@
 """Seed handling.
 
 Every stochastic operation takes an explicit seed; per-window streams are
-derived from (base_seed, window_end_index) so that parallel sweeps are
-reproducible and independent of the data passing through them.
+derived from (base_seed, window_end_index) so that a window's draws are
+reproducible and independent of the stride, of the other windows swept and
+of the data passing through them.
 """
 
 from __future__ import annotations

@@ -142,6 +142,11 @@ class ReferenceDensity:
         raise NotImplementedError
 
     def pdf(self, x) -> np.ndarray:
+        """Pointwise density; zero outside the support.
+
+        For the ring law this is the planar density over the complex plane
+        at radius x; use RingLaw.radial_pdf for the law of |lambda|.
+        """
         raise NotImplementedError
 
     def cdf(self, x) -> np.ndarray:
@@ -346,16 +351,6 @@ def _converge(total: Callable[[int], float], rtol: float, start: int = 64, cap: 
         prev = cur
         n *= 2
     raise NumericalFailureError(f"spectral: quadrature did not converge below rtol={rtol}")
-
-
-def density_eval(d: ReferenceDensity, point) -> np.ndarray:
-    """Pointwise density; zero outside the support.
-
-    For the ring law the returned value is the planar density over the
-    complex plane evaluated at radius `point`; use RingLaw.radial_pdf for
-    the law of |lambda|.
-    """
-    return d.pdf(point)
 
 
 _KIND_MATCH = {

@@ -214,7 +214,7 @@ def test_criterion_8_unit_invariance(preset_run):
 
 
 def test_criterion_9_false_alarm_control():
-    cfg = DetectorConfig(window=WindowSpec(T=T_WINDOW), functions=("MSR",), base_seed=0, jobs=2)
+    cfg = DetectorConfig(window=WindowSpec(T=T_WINDOW), functions=("MSR",), base_seed=0)
     total = flagged = 0
     for run in range(10):
         src = sample_gaussian_matrix(118, T_WINDOW + 1000, seed=[900, run])

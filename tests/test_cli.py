@@ -214,6 +214,25 @@ def test_config_file_mirrors_flags(capsys, tmp_path):
     assert _theory_table(out)["MSR"][0] == pytest.approx(0.8645, abs=1e-3)
 
 
+def test_config_file_equals_form_is_applied(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 10, "t": 50}))
+    out = tmp_path / "d.csv"
+    code, _, _ = run_cli(
+        capsys, "simulate", "--preset", "table3", "--out", str(out), f"--config={cfg}"
+    )
+    assert code == 0
+    assert load_csv(out).values.shape == (10, 50)
+
+
+def test_config_flag_without_value_exits_1(capsys, tmp_path):
+    code, _, err = run_cli(
+        capsys, "simulate", "--preset", "table3", "--out", str(tmp_path / "d.csv"), "--config"
+    )
+    assert code == 1
+    assert "usage" in err.lower() and "--config" in err
+
+
 def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus_flag": 1}))

@@ -20,7 +20,13 @@ from rmtdetect.detect import (
     write_events_json,
     write_indicator_csv,
 )
-from rmtdetect.errors import AspectRatioError, ConfigurationError, ContractError, ParameterError
+from rmtdetect.errors import (
+    AspectRatioError,
+    ConfigurationError,
+    ContractError,
+    DegenerateRowError,
+    ParameterError,
+)
 
 
 def step_source(n=24, t=360, t_star=150, level=50.0, node=5, coupling=0.5, seed=3):
@@ -118,14 +124,46 @@ def test_unit_invariance_of_tau_and_flags():
         np.testing.assert_array_equal(b.data[key].flag, a.data[key].flag)
 
 
-def test_sweep_determinism_and_thread_merge_order():
+def test_sweep_determinism_and_stride_consistency():
+    # seeds derive from (base_seed, end), so a stride-k sweep is every k-th
+    # window of the stride-1 sweep, bit for bit
     src = step_source()
-    cfg = small_cfg()
+    cfg = small_cfg(functions=("MSR", "LRF"))
     a = sweep(src, cfg)
     b = sweep(src, cfg)
-    c = sweep(src, small_cfg(jobs=2))
-    np.testing.assert_array_equal(a.data[("ALL", "MSR")].tau, b.data[("ALL", "MSR")].tau)
-    np.testing.assert_array_equal(a.data[("ALL", "MSR")].tau, c.data[("ALL", "MSR")].tau)
+    c = sweep(src, small_cfg(functions=("MSR", "LRF"), window=WindowSpec(T=60, stride=7)))
+    np.testing.assert_array_equal(c.t, a.t[::7])
+    for key in a.data:
+        np.testing.assert_array_equal(a.data[key].tau, b.data[key].tau)
+        np.testing.assert_array_equal(c.data[key].tau, a.data[key].tau[::7])
+        np.testing.assert_array_equal(c.data[key].flag, a.data[key].flag[::7])
+
+
+def _with_constant_row(src, row):
+    from rmtdetect import DataSource
+
+    vals = src.values.copy()
+    vals[row] = 1.0
+    return DataSource(vals, src.node_ids, src.timestamps)
+
+
+def test_degenerate_row_error_names_the_node():
+    src = _with_constant_row(sample_gaussian_matrix(8, 120, seed=5), 3)
+    with pytest.raises(DegenerateRowError, match=repr(src.node_ids[3])):
+        sweep(src, small_cfg(window=WindowSpec(T=30)))
+    # inside a region, row 5 of Q is node 20; ALL is too wide for the window
+    src = _with_constant_row(sample_gaussian_matrix(30, 300, seed=5), 20)
+    part = RegionPartition({"P": src.node_ids[:15], "Q": src.node_ids[15:]})
+    cfg = small_cfg(window=WindowSpec(T=20), regions=part, mc_reps=50)
+    with pytest.warns(RuntimeWarning, match="ALL"):
+        with pytest.raises(DegenerateRowError, match=repr(src.node_ids[20])):
+            regional_series(src, cfg)
+
+
+def test_mc_reps_below_two_is_rejected():
+    for reps in (0, 1):
+        with pytest.raises(ParameterError, match="mc_reps"):
+            small_cfg(mc_reps=reps)
 
 
 def test_pure_noise_flag_fraction_small():

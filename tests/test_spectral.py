@@ -7,7 +7,6 @@ from rmtdetect import (
     Semicircle,
     SpectrumSet,
     covariance,
-    density_eval,
     eigen_general,
     eigen_hermitian,
     esd_distance,
@@ -122,13 +121,13 @@ def test_mp2_support_endpoints_at_scenario():
 def test_mp_density_zero_outside_support():
     law = MarchenkoPastur(kind="mp", c=0.5)
     lo, hi = law.support()
-    assert density_eval(law, lo - 0.01) == 0.0
-    assert density_eval(law, hi + 0.01) == 0.0
-    assert density_eval(law, (lo + hi) / 2) > 0.0
+    assert law.pdf(lo - 0.01) == 0.0
+    assert law.pdf(hi + 0.01) == 0.0
+    assert law.pdf((lo + hi) / 2) > 0.0
 
 
 def test_semicircle_center_value():
-    assert density_eval(Semicircle(omega2=1.0), 0.0) == pytest.approx(1 / np.pi, rel=1e-12)
+    assert Semicircle(omega2=1.0).pdf(0.0) == pytest.approx(1 / np.pi, rel=1e-12)
 
 
 def test_ring_planar_vs_radial_forms():
