@@ -21,15 +21,12 @@ from .ingest import (
     WindowSpec,
     load_csv,
     load_partition,
-    window_at,
     write_csv,
 )
 from .les import (
     FUNCTIONS,
     clt_variance,
     get_function,
-    kurtosis_excess,
-    les,
     lln_expectation,
     mc_covariance_les,
     mc_ring_msr,
@@ -37,12 +34,11 @@ from .les import (
     window_taus,
 )
 from .mapgen import MapFrame, frame, render_run
-from .pca import PilotModel, judge, residual_series, train
+from .pca import PilotModel, residual_series, train
 from .rmm import (
     CovarianceMatrix,
     RingProduct,
     StandardizedMatrix,
-    augment,
     covariance,
     haar_unitary,
     ring_product,

@@ -3,7 +3,9 @@
 For every stride-spaced window end, per region: build the window,
 standardize rows, form the ring product (for MSR) or the covariance M (for
 the other functions), take the spectrum, evaluate each configured LES, and
-flag samples where |tau - E_ref| > k sqrt(D_ref).
+flag samples where |tau - E_ref| > k sqrt(D_ref). Before any window runs,
+every block is checked against the window: N <= T, and N < T for DET and
+LRF.
 
 Reference moments: for MSR both moments come from a cached Monte Carlo
 calibration at the exact (N, T, L) in play, because the asymptotic radial
@@ -112,9 +114,6 @@ class IndicatorSeries:
     t: np.ndarray
     data: Dict[Tuple[str, str], FunctionSeries]
     meta: dict = field(default_factory=dict)
-
-    def regions(self) -> List[str]:
-        return sorted({r for r, _ in self.data})
 
     def functions(self) -> List[str]:
         return sorted({f for _, f in self.data})
@@ -242,16 +241,27 @@ def _assemble(
     return out
 
 
+def _check_blocks(blocks: Dict[str, DataSource], cfg: DetectorConfig) -> None:
+    """Reject every block too wide for the window, before any window runs.
+
+    Every function needs N <= T. DET and LRF need N < T: standardized rows
+    have rank at most T - 1, so M is singular at N = T.
+    """
+    T = cfg.window.T
+    logs = [name for name in cfg.functions if get_function(name).domain == "positive"]
+    for block, sub in blocks.items():
+        if sub.n > T or (sub.n == T and logs):
+            names, need = (cfg.functions, "<=") if sub.n > T else (logs, "<")
+            raise AspectRatioError(
+                f"detect: block {block!r} has {sub.n} nodes for window length {T}; "
+                f"{', '.join(names)} need N {need} T"
+            )
+
+
 def sweep(src: DataSource, cfg: DetectorConfig) -> IndicatorSeries:
     """Whole-system sweep: one track per configured function, region "ALL"."""
-    spec = cfg.window
-    if spec.node_subset is not None:
-        src = src.restrict(spec.node_subset)
-    if src.n > spec.T:
-        raise AspectRatioError(
-            f"detect: {src.n} nodes exceed window length {spec.T}; choose a node subset"
-        )
-    ends = _window_ends(src.t, spec)
+    _check_blocks({WHOLE_SYSTEM: src}, cfg)
+    ends = _window_ends(src.t, cfg.window)
     taus = _sweep_rows(src, ends, cfg)
     data = {
         (WHOLE_SYSTEM, name): fs for name, fs in _assemble(ends, taus, cfg, src.n).items()
@@ -263,28 +273,26 @@ def regional_series(src: DataSource, cfg: DetectorConfig) -> IndicatorSeries:
     """Independent sweeps per region, plus the whole system under "ALL".
 
     Regions are intersected with the nodes present in the source; regions
-    left with fewer than 2 nodes are skipped with a warning. A region wider
-    than the window is an error, named explicitly.
+    left with fewer than 2 nodes are skipped with a warning, and so is "ALL"
+    when the whole system is wider than the window. Every other block is
+    checked against the window before any window runs.
     """
     if cfg.regions is None:
         raise ConfigurationError("detect: regional series needs a region partition")
     spec = cfg.window
-    universe = src.node_ids if spec.node_subset is None else spec.node_subset
-    if len(universe) <= spec.T:
-        base = sweep(src, cfg)
-    else:
+    blocks = {WHOLE_SYSTEM: src} if src.n <= spec.T else {}
+    if not blocks:
         # too wide for one block: analyze per region only (blockwise mode)
         warnings.warn(
-            f"detect: whole system of {len(universe)} nodes exceeds T={spec.T}; "
+            f"detect: whole system of {src.n} nodes exceeds T={spec.T}; "
             'skipping the "ALL" series',
             RuntimeWarning,
             stacklevel=2,
         )
-        base = IndicatorSeries(t=_window_ends(src.t, spec), data={}, meta=_meta(cfg, src))
     for region, members in sorted(cfg.regions.regions.items()):
         if region == WHOLE_SYSTEM:
             raise ContractError('detect: region name "ALL" is reserved for the whole system')
-        avail = tuple(nid for nid in members if nid in universe)
+        avail = tuple(nid for nid in members if nid in src.node_ids)
         if len(avail) < 2:
             warnings.warn(
                 f"detect: region {region!r} has {len(avail)} usable nodes; skipped",
@@ -292,11 +300,13 @@ def regional_series(src: DataSource, cfg: DetectorConfig) -> IndicatorSeries:
                 stacklevel=2,
             )
             continue
-        if len(avail) > spec.T:
-            raise AspectRatioError(
-                f"detect: region {region!r} has {len(avail)} nodes > window length {spec.T}"
-            )
-        sub = src.restrict(avail)
+        blocks[region] = src.restrict(avail)
+    _check_blocks(blocks, cfg)
+    if WHOLE_SYSTEM in blocks:
+        base = sweep(blocks.pop(WHOLE_SYSTEM), cfg)
+    else:
+        base = IndicatorSeries(t=_window_ends(src.t, spec), data={}, meta=_meta(cfg, src))
+    for region, sub in blocks.items():
         taus = _sweep_rows(sub, base.t, cfg)
         for name, fs in _assemble(base.t, taus, cfg, sub.n).items():
             base.data[(region, name)] = fs

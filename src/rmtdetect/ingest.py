@@ -1,9 +1,10 @@
-"""Loading measurement matrices and selecting windows in space and time.
+"""Loading measurement matrices, region partitions and window geometry.
 
 A data source is an n x t block of real measurements (rows = nodes,
-columns = samples). Windows are defined by their END index, so a window
-ending at e covers columns [e - T + 1, e] and detection latency past the
-window is zero samples.
+columns = samples). The sweep slices windows by their END index, so a
+window ending at e covers columns [e - T + 1, e] and detection latency past
+the window is zero samples. A window always spans every node of its block
+(the whole source, or one region of a partition).
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import (
-    AspectRatioError,
     ContractError,
-    InsufficientHistoryError,
     MalformedInputError,
     ParameterError,
     UnrecoverableRowError,
@@ -117,12 +116,11 @@ class RegionPartition:
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Moving split-window geometry: length T, stride, optional row subset,
-    and the product depth L used by the ring pipeline."""
+    """Moving split-window geometry: length T, stride, and the product
+    depth L used by the ring pipeline."""
 
     T: int
     stride: int = 1
-    node_subset: Optional[Tuple[str, ...]] = None
     L: int = 1
 
     def __post_init__(self):
@@ -132,8 +130,6 @@ class WindowSpec:
             raise ParameterError(f"ingest: stride must be >= 1, got {self.stride}")
         if self.L < 1:
             raise ParameterError(f"ingest: product depth must be >= 1, got {self.L}")
-        if self.node_subset is not None:
-            object.__setattr__(self, "node_subset", tuple(self.node_subset))
 
 
 @dataclass(frozen=True)
@@ -157,35 +153,6 @@ class RawWindow:
     @property
     def T(self) -> int:
         return self.values.shape[1]
-
-
-def window_at(src: DataSource, spec: WindowSpec, end_index: int) -> RawWindow:
-    """The N x T block of columns [end_index - T + 1, end_index].
-
-    Pure: identical arguments always return identical blocks.
-    """
-    T = spec.T
-    if end_index < T - 1:
-        raise InsufficientHistoryError(
-            f"ingest: window ending at {end_index} needs {T} samples of history"
-        )
-    if end_index >= src.t:
-        raise InsufficientHistoryError(
-            f"ingest: end index {end_index} beyond last sample {src.t - 1}"
-        )
-    if spec.node_subset is None:
-        rows = np.arange(src.n)
-        ids = src.node_ids
-    else:
-        rows = np.array([src.row_index(nid) for nid in spec.node_subset])
-        ids = spec.node_subset
-    if len(rows) > T:
-        raise AspectRatioError(
-            f"ingest: {len(rows)} rows exceed window length {T}; c = N/T must be <= 1"
-        )
-    lo = end_index - T + 1
-    block = src.values[np.ix_(rows, np.arange(lo, end_index + 1))]
-    return RawWindow(block, ids, src.timestamps[lo : end_index + 1], end_index)
 
 
 def _parse_cell(text: str) -> float:

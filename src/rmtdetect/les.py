@@ -4,13 +4,16 @@ An LES is tau = sum_i phi(lambda_i) for a scalar test function phi. The
 named functions follow two conventions: MSR is the 1/N-AVERAGED modulus of
 a ring spectrum, everything else is the plain sum over a covariance
 spectrum. Each indicator series records which convention produced it.
+DET and LRF take logarithms, so they need N < T (the sweep checks every
+block). The package does not re-export the function `les`, so
+`rmtdetect.les` stays this module.
 
 Theoretical references:
 
 * lln_expectation -- N * integral of phi against the limiting density
   (plain integral for MSR);
-* msr_moments     -- closed forms for the ring radial moments at L=1,
-  quadrature for deeper products;
+* msr_moments     -- the ring law's radial moments in closed form, for
+  every product depth L;
 * clt_variance    -- the Gaussian fluctuation variance of a covariance LES,
   a double integral over the angle parametrization of the support. It
   describes fluctuations of matrices with genuinely i.i.d. entries; row
@@ -67,30 +70,18 @@ class TestFunction:
     phi: Callable[[np.ndarray], np.ndarray]
     deriv: Optional[Callable[[np.ndarray], np.ndarray]] = None
     domain: str = "real"
-    closed_form: str = ""
     averaged: bool = False  # True: tau carries 1/N (the MSR convention)
 
 
-MSR = TestFunction(
-    "MSR", phi=np.abs, domain="modulus", closed_form="|x| / N (averaged)", averaged=True
-)
-T2 = TestFunction("T2", phi=lambda x: 2 * x**2 - 1, deriv=lambda x: 4 * x, closed_form="2x^2 - 1")
-T3 = TestFunction(
-    "T3", phi=lambda x: 4 * x**3 - 3 * x, deriv=lambda x: 12 * x**2 - 3, closed_form="4x^3 - 3x"
-)
+MSR = TestFunction("MSR", phi=np.abs, domain="modulus", averaged=True)
+T2 = TestFunction("T2", phi=lambda x: 2 * x**2 - 1, deriv=lambda x: 4 * x)
+T3 = TestFunction("T3", phi=lambda x: 4 * x**3 - 3 * x, deriv=lambda x: 12 * x**2 - 3)
 T4 = TestFunction(
-    "T4",
-    phi=lambda x: 8 * x**4 - 8 * x**2 + 1,
-    deriv=lambda x: 32 * x**3 - 16 * x,
-    closed_form="8x^4 - 8x^2 + 1",
+    "T4", phi=lambda x: 8 * x**4 - 8 * x**2 + 1, deriv=lambda x: 32 * x**3 - 16 * x
 )
-DET = TestFunction("DET", phi=np.log, deriv=lambda x: 1.0 / x, domain="positive", closed_form="ln x")
+DET = TestFunction("DET", phi=np.log, deriv=lambda x: 1.0 / x, domain="positive")
 LRF = TestFunction(
-    "LRF",
-    phi=lambda x: x - np.log(x) - 1,
-    deriv=lambda x: 1.0 - 1.0 / x,
-    domain="positive",
-    closed_form="x - ln x - 1",
+    "LRF", phi=lambda x: x - np.log(x) - 1, deriv=lambda x: 1.0 - 1.0 / x, domain="positive"
 )
 
 FUNCTIONS: Dict[str, TestFunction] = {f.name: f for f in (MSR, T2, T3, T4, DET, LRF)}
@@ -184,33 +175,19 @@ def lln_expectation(f: TestFunction, d: ReferenceDensity, N: int, rtol: float = 
 class TheoreticalMoments:
     expectation: float
     variance: float
-    method: str
-    parameters: dict
 
 
 def msr_moments(c: float, L: int = 1) -> TheoreticalMoments:
-    """Mean and variance of a single ring radius.
+    """Mean and variance of a single ring radius, in closed form.
 
-    L=1 uses the closed forms
-        E[r]   = (2 / 3c)(1 - (1-c)^{3/2})
-        E[r^2] = (1 / 2c)(1 - (1-c)^2);
-    deeper products fall back to quadrature against the radial law.
+    The radial law of the L-deep ring product has E[r^k] =
+    2 / (c (2 + kL)) (1 - (1-c)^{(2 + kL)/2}) (RingLaw.radial_moment); at
+    L=1 these are E[r] = (2 / 3c)(1 - (1-c)^{3/2}) and
+    E[r^2] = (1 / 2c)(1 - (1-c)^2).
     """
     law = RingLaw(c=c, L=L)
-    if L == 1:
-        e1 = 2.0 / (3.0 * c) * (1.0 - (1.0 - c) ** 1.5)
-        e2 = 1.0 / (2.0 * c) * (1.0 - (1.0 - c) ** 2)
-        method = "closed-form"
-    else:
-        e1 = law.mean_phi(lambda r: r)
-        e2 = law.mean_phi(lambda r: r**2)
-        method = "quadrature"
-    return TheoreticalMoments(
-        expectation=e1,
-        variance=e2 - e1**2,
-        method=method,
-        parameters={"c": c, "L": L},
-    )
+    e1 = law.radial_moment(1)
+    return TheoreticalMoments(expectation=e1, variance=law.radial_moment(2) - e1**2)
 
 
 def clt_variance(
@@ -269,15 +246,6 @@ def clt_variance(
         return term1 + term2
 
     return _converge(total, rtol, start=64, cap=2048)
-
-
-def kurtosis_excess(sample: np.ndarray) -> float:
-    """Empirical fourth cumulant E[X^4] - 3 of the standardized sample."""
-    x = np.asarray(sample, dtype=float).ravel()
-    if x.size < 100:
-        raise ParameterError(f"les: kurtosis estimate needs >= 100 samples, got {x.size}")
-    x = (x - x.mean()) / x.std()
-    return float(np.mean(x**4) - 3.0)
 
 
 # ---------------------------------------------------------------------------

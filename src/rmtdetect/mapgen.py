@@ -28,7 +28,6 @@ class MapFrame:
     t: int
     grid: np.ndarray
     bounds: Tuple[float, float, float, float]  # xmin, xmax, ymin, ymax
-    quantity: str = "eta"
 
 
 def layout_bounds(layout: Mapping[str, Tuple[float, float]]) -> Tuple[float, float, float, float]:
@@ -44,7 +43,6 @@ def frame(
     power: float = 2.0,
     bounds: Optional[Tuple[float, float, float, float]] = None,
     t: int = 0,
-    quantity: str = "eta",
 ) -> MapFrame:
     """Interpolate node values onto a grid_size x grid_size lattice.
 
@@ -77,7 +75,7 @@ def frame(
     off = ~on_node
     wsum = w[off].sum(axis=-1)
     grid[off] = (w[off] * vals).sum(axis=-1) / wsum
-    return MapFrame(t=int(t), grid=grid, bounds=tuple(float(b) for b in bounds), quantity=quantity)
+    return MapFrame(t=int(t), grid=grid, bounds=tuple(float(b) for b in bounds))
 
 
 def _series_values_at(
@@ -112,9 +110,8 @@ def render_run(
     frame_stride: int = 1,
     grid_size: int = 64,
     power: float = 2.0,
-    quantity: str = "eta",
 ) -> Path:
-    """Write one JSON frame per selected timestamp plus a manifest.
+    """Write one JSON frame of eta values per selected timestamp plus a manifest.
 
     Returns the manifest path. The manifest is written last, so its
     presence marks a complete run.
@@ -143,14 +140,14 @@ def render_run(
             raise ConfigurationError(
                 "mapgen: no renderable node values; regions and layout do not overlap"
             )
-        f = frame(values, layout, grid_size, power, bounds, t=t, quantity=quantity)
+        f = frame(values, layout, grid_size, power, bounds, t=t)
         name = f"frame_{t:06d}.json"
         (out_dir / name).write_text(
             json.dumps(
                 {
                     "t": f.t,
                     "bounds": list(f.bounds),
-                    "quantity": f.quantity,
+                    "quantity": "eta",
                     "grid": [[float(v) for v in row] for row in f.grid],
                 }
             ),
@@ -162,7 +159,7 @@ def render_run(
         json.dumps(
             {
                 "function": function,
-                "quantity": quantity,
+                "quantity": "eta",
                 "grid_size": grid_size,
                 "power": power,
                 "bounds": list(bounds),

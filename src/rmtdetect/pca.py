@@ -4,9 +4,9 @@ regression of the remaining sensors on the pilots, residual-based judging.
 Training picks m' pilot channels whose projections onto the top-m principal
 subspace are as mutually orthogonal as possible (greedy max-min-angle,
 ties broken by node order), then fits each non-pilot channel on the raw
-pilot block by least squares through the normal equations. Judging scores
-any later block by the per-node residual RMS against the training residual
-scale.
+pilot block by least squares through the normal equations. Judging
+compares each non-pilot node's per-sample |residual| with k times its
+training residual RMS.
 
 The method's structural blind spot: any transformation that preserves the
 fitted linear relation between pilots and non-pilots (a global sign flip
@@ -25,6 +25,9 @@ from .errors import ParameterError
 from .ingest import DataSource
 
 COND_LIMIT = 1e8
+
+# Share of the spectrum's mass the default principal subspace captures.
+VARIANCE_SHARE = 0.95
 
 
 @dataclass(frozen=True)
@@ -77,12 +80,11 @@ def train(
     train_range: Tuple[int, int],
     m_prime: int,
     m: Optional[int] = None,
-    variance_threshold: float = 0.95,
 ) -> PilotModel:
     """Fit the pilot regression on the half-open sample range [start, end).
 
     m defaults to the number of eigenvalues needed to capture
-    `variance_threshold` of the spectrum's mass.
+    VARIANCE_SHARE of the spectrum's mass.
     """
     lo, hi = train_range
     if not 0 <= lo < hi <= src.t:
@@ -99,7 +101,7 @@ def train(
     w = np.linalg.eigvalsh(c)[::-1]
     if m is None:
         frac = np.cumsum(w) / w.sum()
-        m = int(np.searchsorted(frac, variance_threshold) + 1)
+        m = int(np.searchsorted(frac, VARIANCE_SHARE) + 1)
     if not m_prime <= m <= n_nodes:
         raise ParameterError(f"pca: need m' <= m <= N, got m'={m_prime}, m={m}, N={n_nodes}")
 
@@ -128,29 +130,6 @@ def train(
     )
 
 
-def judge(
-    model: PilotModel,
-    src: DataSource,
-    sample_range: Tuple[int, int],
-    k: float = 3.0,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Residual RMS per non-pilot node over [start, end), plus flags.
-
-    A node flags when its residual RMS exceeds k times its training RMS.
-    """
-    lo, hi = sample_range
-    if not 0 <= lo < hi <= src.t:
-        raise ParameterError(f"pca: judge range [{lo}, {hi}) outside 0..{src.t}")
-    rows_b = [src.row_index(nid) for nid in model.pilot_ids]
-    rows_c = [src.row_index(nid) for nid in model.nonpilot_ids]
-    yb = src.values[rows_b, lo:hi].T
-    yc = src.values[rows_c, lo:hi].T
-    resid = yc - yb @ model.coefficients
-    rms = np.sqrt((resid**2).mean(axis=0))
-    flags = rms > k * model.train_residual_std
-    return rms, flags
-
-
 def residual_series(
     model: PilotModel,
     src: DataSource,
@@ -158,10 +137,11 @@ def residual_series(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-sample |residual| for each non-pilot node (nodes x samples).
 
-    This is judging with windows of width one: the per-timestamp analogue
-    of the detector's indicator series.
+    This is the per-timestamp analogue of the detector's indicator series.
     """
     lo, hi = sample_range if sample_range is not None else (0, src.t)
+    if not 0 <= lo < hi <= src.t:
+        raise ParameterError(f"pca: residual range [{lo}, {hi}) outside 0..{src.t}")
     rows_b = [src.row_index(nid) for nid in model.pilot_ids]
     rows_c = [src.row_index(nid) for nid in model.nonpilot_ids]
     yb = src.values[rows_b, lo:hi]

@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import (
     AspectRatioError,
-    ContractError,
     DegenerateRowError,
     ParameterError,
     ShapeError,
@@ -219,34 +218,3 @@ def covariance(x: StandardizedMatrix, convention: str = "M") -> CovarianceMatrix
     h /= x.T if convention == "S" else x.N
     return CovarianceMatrix(h, convention)
 
-
-def augment(
-    basic: MatrixLike,
-    factors: Union[np.ndarray, Sequence[float]],
-    repeat: int = 1,
-) -> Union[np.ndarray, RawWindow]:
-    """Stack a factor block under a status block, replicating it `repeat` times.
-
-    Replication adjusts the factor rows' weight in the fused model.
-    Standardization happens downstream, on the stacked window.
-    """
-    if repeat < 1:
-        raise ParameterError(f"rmm: repeat must be >= 1, got {repeat}")
-    fac = np.atleast_2d(np.asarray(factors, dtype=float))
-    base = _as_array(basic)
-    if fac.shape[1] != base.shape[1]:
-        raise ShapeError(
-            f"rmm: factor block has {fac.shape[1]} columns, status block {base.shape[1]}"
-        )
-    stacked = np.vstack([base] + [fac] * repeat)
-    if isinstance(basic, RawWindow):
-        fac_ids = [
-            f"factor{i + 1}r{k}" if repeat > 1 else f"factor{i + 1}"
-            for k in range(repeat)
-            for i in range(fac.shape[0])
-        ]
-        clash = set(fac_ids) & set(basic.node_ids)
-        if clash:
-            raise ContractError(f"rmm: factor ids collide with node ids: {sorted(clash)}")
-        return RawWindow(stacked, basic.node_ids + tuple(fac_ids), basic.timestamps, basic.end_index)
-    return stacked

@@ -16,9 +16,7 @@ integrand on [-pi/2, pi/2].
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
@@ -381,21 +379,3 @@ def esd_distance(s: SpectrumSet, d: ReferenceDensity) -> float:
     lo = np.arange(0, n) / n
     return float(max(np.max(np.abs(hi - ref)), np.max(np.abs(lo - ref))))
 
-
-def histogram(s: SpectrumSet) -> Tuple[np.ndarray, np.ndarray, dict]:
-    """Freedman-Diaconis histogram of a spectrum, with binning metadata."""
-    vals = np.abs(s.eigenvalues) if s.kind == "ring" else s.eigenvalues.real
-    counts, edges = np.histogram(vals, bins="fd")
-    meta = {"binning": "freedman-diaconis", "bins": int(len(counts)), "kind": s.kind}
-    return counts, edges, meta
-
-
-def write_spectrum_csv(s: SpectrumSet, path) -> None:
-    """Dump eigenvalues as CSV columns (re, im) for external plotting."""
-    path = Path(path)
-    lam = np.asarray(s.eigenvalues, dtype=complex)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["re", "im"])
-        for z in lam:
-            writer.writerow([repr(float(z.real)), repr(float(z.imag))])

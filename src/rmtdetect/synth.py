@@ -238,24 +238,3 @@ def load_scenario(path) -> Scenario:
         raise ConfigurationError(f"synth: no such scenario file: {path}")
     return scenario_from_dict(json.loads(path.read_text(encoding="utf-8")))
 
-
-def scenario_to_dict(sc: Scenario) -> dict:
-    return {
-        "n": sc.n,
-        "t": sc.t,
-        "noise_std": sc.noise_std,
-        "node_prefix": sc.node_prefix,
-        "segments": [
-            {
-                "start": s.start,
-                "end": s.end,
-                "kind": s.kind,
-                "level": s.level,
-                "slope": s.slope,
-                "rate": s.rate,
-                "nodes": list(s.nodes) if s.nodes is not None else None,
-                "coupling": s.coupling,
-            }
-            for s in sc.segments
-        ],
-    }

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rmtdetect import (
+    DataSource,
     DetectorConfig,
     RegionPartition,
     Scenario,
@@ -111,8 +112,6 @@ def test_unit_invariance_of_tau_and_flags():
     rng = np.random.default_rng(4)
     gains = rng.uniform(0.5, 200.0, src.n)
     offsets = rng.uniform(-1e3, 1e3, src.n)
-    from rmtdetect import DataSource
-
     rescaled = DataSource(
         gains[:, None] * src.values + offsets[:, None], src.node_ids, src.timestamps
     )
@@ -140,8 +139,6 @@ def test_sweep_determinism_and_stride_consistency():
 
 
 def _with_constant_row(src, row):
-    from rmtdetect import DataSource
-
     vals = src.values.copy()
     vals[row] = 1.0
     return DataSource(vals, src.node_ids, src.timestamps)
@@ -192,8 +189,50 @@ def test_source_shorter_than_window():
 
 def test_too_many_nodes_for_window():
     src = sample_gaussian_matrix(30, 200, seed=1)
-    with pytest.raises(AspectRatioError):
+    with pytest.raises(AspectRatioError, match="'ALL' has 30 nodes.*MSR need N <= T"):
         sweep(src, small_cfg(window=WindowSpec(T=20)))
+
+
+def test_log_domain_functions_need_fewer_nodes_than_samples():
+    # standardized rows have rank <= T - 1, so M is singular at N = T
+    from rmtdetect.les import clamp_event_count
+
+    src = sample_gaussian_matrix(20, 60, seed=2)
+    for reference in ("calibration", "theoretical"):
+        cfg = small_cfg(
+            window=WindowSpec(T=20), functions=("LRF", "DET", "MSR"), mc_reps=20,
+            reference=reference, calibration_range=(19, 40),
+        )
+        with pytest.raises(AspectRatioError, match="'ALL' has 20 nodes.*LRF, DET need N < T"):
+            sweep(src, cfg)
+    before = clamp_event_count()
+    narrower = DataSource(src.values[:19], src.node_ids[:19], src.timestamps)
+    series = sweep(narrower, cfg)
+    assert np.isfinite(series.data[("ALL", "LRF")].tau).all()
+    assert clamp_event_count() == before
+    # MSR alone is defined at N = T
+    assert ("ALL", "MSR") in sweep(src, small_cfg(window=WindowSpec(T=20), mc_reps=20)).data
+    # a region as wide as the window is named; ALL (30 nodes) is skipped
+    wide = sample_gaussian_matrix(30, 300, seed=5)
+    part = RegionPartition({"EQ": wide.node_ids[:20], "REST": wide.node_ids[20:]})
+    cfg = small_cfg(window=WindowSpec(T=20), functions=("MSR", "LRF"), regions=part)
+    with pytest.warns(RuntimeWarning, match="ALL"):
+        with pytest.raises(AspectRatioError, match="'EQ' has 20 nodes.*LRF need N < T"):
+            regional_series(wide, cfg)
+
+
+def test_covariance_les_invariant_under_row_permutation():
+    # MSR is invariant only in distribution: the Haar draw acts on the permuted rows
+    src = step_source()
+    perm = np.random.default_rng(9).permutation(src.n)
+    shuffled = DataSource(src.values[perm], tuple(src.node_ids[i] for i in perm), src.timestamps)
+    cfg = small_cfg(functions=("T2", "T3", "T4", "DET", "LRF"))
+    a = sweep(src, cfg)
+    b = sweep(shuffled, cfg)
+    assert len(a.data) == 5
+    for key in a.data:
+        np.testing.assert_allclose(b.data[key].tau, a.data[key].tau, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(b.data[key].flag, a.data[key].flag)
 
 
 # --- calibration reference ----------------------------------------------------
@@ -239,8 +278,6 @@ def test_regions_are_independent_of_each_other():
     src_a = sample_gaussian_matrix(12, 200, seed=1)
     vals = src_a.values.copy()
     vals[6:] += 100.0 * np.random.default_rng(2).standard_normal((6, 200))
-    from rmtdetect import DataSource
-
     src_b = DataSource(vals, src_a.node_ids, src_a.timestamps)
     half_a = tuple(src_a.node_ids[:6])
     part = RegionPartition({"P": half_a, "Q": tuple(src_a.node_ids[6:])})

@@ -1,15 +1,25 @@
 import numpy as np
 import pytest
 
-from rmtdetect import DataSource, RegionPartition, WindowSpec, load_csv, load_partition, window_at, write_csv
+from rmtdetect import (
+    DataSource,
+    DetectorConfig,
+    RegionPartition,
+    WindowSpec,
+    load_csv,
+    load_partition,
+    standardize,
+    sweep,
+    window_taus,
+    write_csv,
+)
 from rmtdetect.errors import (
-    AspectRatioError,
     ContractError,
-    InsufficientHistoryError,
     MalformedInputError,
     ParameterError,
     UnrecoverableRowError,
 )
+from rmtdetect.les import LRF
 
 CSV_3x4 = "node_id,0,1,2,3\na,1.0,2.0,3.0,4.0\nb,5,6,7,8\nc,-1,0.5,2e-1,9\n"
 
@@ -110,58 +120,13 @@ def test_datasource_is_immutable(gaussian_source):
 # --- windowing -------------------------------------------------------------
 
 
-def test_window_at_returns_trailing_block():
-    rng = np.random.default_rng(7)
-    src = DataSource(rng.standard_normal((5, 1500)), tuple("abcde"), tuple(range(1500)))
-    w = window_at(src, WindowSpec(T=240), 599)
-    assert w.timestamps[0] == 360 and w.timestamps[-1] == 599
-    np.testing.assert_array_equal(w.values, src.values[:, 360:600])
-
-
 def test_window_full_span(gaussian_source):
-    w = window_at(gaussian_source, WindowSpec(T=gaussian_source.t), gaussian_source.t - 1)
-    np.testing.assert_array_equal(w.values, gaussian_source.values)
-
-
-def test_window_insufficient_history(gaussian_source):
-    with pytest.raises(InsufficientHistoryError):
-        window_at(gaussian_source, WindowSpec(T=20), 18)
-    with pytest.raises(InsufficientHistoryError):
-        window_at(gaussian_source, WindowSpec(T=20), gaussian_source.t)
-
-
-def test_window_aspect_ratio(gaussian_source):
-    with pytest.raises(AspectRatioError):
-        window_at(gaussian_source, WindowSpec(T=8), 30)  # 12 nodes > T=8
-
-
-def test_window_is_pure(gaussian_source):
-    spec = WindowSpec(T=16)
-    a = window_at(gaussian_source, spec, 40)
-    b = window_at(gaussian_source, spec, 40)
-    np.testing.assert_array_equal(a.values, b.values)
-    assert a.timestamps == b.timestamps
-
-
-def test_consecutive_windows_share_columns(gaussian_source):
-    spec = WindowSpec(T=16)
-    a = window_at(gaussian_source, spec, 40)
-    b = window_at(gaussian_source, spec, 41)
-    np.testing.assert_array_equal(a.values[:, 1:], b.values[:, :-1])
-
-
-def test_subset_then_window_equals_window_then_select(gaussian_source):
-    subset = ("n03", "n07", "n09")
-    spec = WindowSpec(T=16, node_subset=subset)
-    direct = window_at(gaussian_source, spec, 50)
-    rows = [gaussian_source.node_ids.index(s) for s in subset]
-    full = window_at(gaussian_source, WindowSpec(T=16), 50)
-    np.testing.assert_array_equal(direct.values, full.values[rows])
-
-
-def test_unknown_subset_node(gaussian_source):
-    with pytest.raises(ContractError, match="unknown node"):
-        window_at(gaussian_source, WindowSpec(T=16, node_subset=("nope",)), 50)
+    # T == t leaves one window, ending at the last sample and covering it all
+    cfg = DetectorConfig(window=WindowSpec(T=gaussian_source.t), functions=("LRF",))
+    series = sweep(gaussian_source, cfg)
+    np.testing.assert_array_equal(series.t, [gaussian_source.t - 1])
+    whole = window_taus(standardize(gaussian_source.values), 1, (LRF,), None)["LRF"]
+    assert series.data[("ALL", "LRF")].tau[0] == whole
 
 
 def test_windowspec_validation():

@@ -9,8 +9,6 @@ from rmtdetect import (
     eigen_general,
     eigen_hermitian,
     get_function,
-    kurtosis_excess,
-    les,
     lln_expectation,
     mc_covariance_les,
     msr_moments,
@@ -18,7 +16,7 @@ from rmtdetect import (
     standardize,
 )
 from rmtdetect.errors import ContractError, DivergenceError, ParameterError
-from rmtdetect.les import DET, LRF, MSR, T2, T3, T4, TestFunction, mc_ring_msr
+from rmtdetect.les import DET, LRF, MSR, T2, T3, T4, TestFunction, les, mc_ring_msr
 
 C_SCENARIO = 118 / 240
 
@@ -112,7 +110,6 @@ def test_msr_moments_scenario_values():
     assert mm.variance == pytest.approx(0.0068, abs=2e-4)
     e2 = mm.variance + mm.expectation**2
     assert e2 == pytest.approx(0.7542, abs=2e-4)
-    assert mm.method == "closed-form"
 
 
 def test_msr_moments_limits():
@@ -131,14 +128,15 @@ def test_msr_closed_form_agrees_with_quadrature():
         assert closed.variance == pytest.approx(e2 - e1**2, abs=1e-8)
 
 
-def test_msr_moments_deep_product_uses_quadrature():
-    mm = msr_moments(0.4917, L=2)
-    law = RingLaw(c=0.4917, L=2)
-    assert mm.method == "quadrature"
-    assert mm.expectation == pytest.approx(law.radial_moment(1), abs=1e-8)
-    assert mm.variance == pytest.approx(
-        law.radial_moment(2) - law.radial_moment(1) ** 2, abs=1e-8
-    )
+def test_msr_moments_deep_product_matches_quadrature():
+    for L in (2, 3):
+        for c in (0.2, 0.4917, 1.0):
+            mm = msr_moments(c, L)
+            law = RingLaw(c=c, L=L)
+            e1 = law.mean_phi(lambda r: r)
+            e2 = law.mean_phi(lambda r: r**2)
+            assert mm.expectation == pytest.approx(e1, abs=1e-8)
+            assert mm.variance == pytest.approx(e2 - e1**2, abs=1e-8)
 
 
 # --- CLT variance ----------------------------------------------------------------
@@ -199,29 +197,6 @@ def test_standardization_shrinks_fluctuations():
     assert var_std < 0.5 * var_raw
 
 
-# --- kurtosis ----------------------------------------------------------------------
-
-
-def test_kurtosis_gaussian():
-    x = np.random.default_rng(12).standard_normal(1_000_000)
-    assert abs(kurtosis_excess(x)) <= 0.02
-
-
-def test_kurtosis_rademacher_exact():
-    x = np.array([1.0, -1.0] * 500)
-    assert kurtosis_excess(x) == pytest.approx(-2.0, abs=1e-12)
-
-
-def test_kurtosis_uniform():
-    x = np.random.default_rng(5).uniform(-np.sqrt(3), np.sqrt(3), 500_000)
-    assert kurtosis_excess(x) == pytest.approx(-1.2, abs=0.02)
-
-
-def test_kurtosis_needs_samples():
-    with pytest.raises(ParameterError):
-        kurtosis_excess(np.ones(50))
-
-
 # --- Monte Carlo helpers --------------------------------------------------------------
 
 
@@ -236,3 +211,10 @@ def test_mc_ring_msr_caches_and_tracks_pipeline():
 def test_unknown_function_name():
     with pytest.raises(ContractError):
         get_function("T9")
+
+
+def test_package_attribute_les_is_the_submodule():
+    import rmtdetect
+
+    assert rmtdetect.les.clamp_event_count() >= 0
+    assert rmtdetect.les.les is les

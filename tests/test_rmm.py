@@ -5,7 +5,6 @@ from scipy import stats
 
 from rmtdetect import (
     RawWindow,
-    augment,
     covariance,
     haar_unitary,
     ring_product,
@@ -223,39 +222,3 @@ def test_covariance_bad_convention():
     x = standardize(_gauss(4, 10, 0))
     with pytest.raises(ParameterError):
         covariance(x, "Q")
-
-
-# --- augment -------------------------------------------------------------------
-
-
-def test_augment_shapes():
-    b = _gauss(10, 100, 1)
-    c = _gauss(1, 100, 2)
-    assert augment(b, c).shape == (11, 100)
-    assert augment(b, c, repeat=5).shape == (15, 100)
-
-
-def test_augment_replicates_factor_rows():
-    b = _gauss(3, 20, 1)
-    c = _gauss(1, 20, 2)
-    out = augment(b, c, repeat=4)
-    for k in range(1, 4):
-        np.testing.assert_array_equal(out[3 + k], out[3])
-
-
-def test_augment_then_standardize_keeps_row_invariants():
-    out = standardize(augment(_gauss(5, 60, 3), _gauss(2, 60, 4), repeat=2)).values
-    np.testing.assert_allclose(out.mean(axis=1), 0.0, atol=1e-10)
-    np.testing.assert_allclose(out.var(axis=1), 1.0, rtol=1e-8)
-
-
-def test_augment_column_mismatch():
-    with pytest.raises(ShapeError):
-        augment(_gauss(3, 20, 1), _gauss(1, 21, 2))
-
-
-def test_augment_raw_window_carries_ids():
-    w = RawWindow(_gauss(2, 10, 5), ("a", "b"), tuple(range(10)), 9)
-    out = augment(w, np.ones((1, 10)))
-    assert isinstance(out, RawWindow)
-    assert out.node_ids == ("a", "b", "factor1")

@@ -19,7 +19,6 @@ from rmtdetect.errors import (
     NumericalFailureError,
     ParameterError,
 )
-from rmtdetect.spectral import histogram, write_spectrum_csv
 
 C_SCENARIO = 118 / 240
 
@@ -242,23 +241,3 @@ def test_goe_parameter_validation():
         sample_goe(0)
     with pytest.raises(ParameterError):
         sample_goe(5, omega2=-1.0)
-
-
-# --- misc -----------------------------------------------------------------------
-
-
-def test_histogram_metadata():
-    s = SpectrumSet(np.random.default_rng(0).random(500), "covariance")
-    counts, edges, meta = histogram(s)
-    assert meta["binning"] == "freedman-diaconis"
-    assert counts.sum() == 500
-    assert len(edges) == len(counts) + 1
-
-
-def test_write_spectrum_csv(tmp_path):
-    s = SpectrumSet(np.array([1 + 2j, 3 - 4j]), "ring")
-    p = tmp_path / "spec.csv"
-    write_spectrum_csv(s, p)
-    lines = p.read_text().strip().splitlines()
-    assert lines[0] == "re,im"
-    assert lines[1].startswith("1.0,2.0")
