@@ -258,8 +258,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    if args.T < args.N:
-        raise ParameterError(f"cli: theory needs N <= T, got N={args.N}, T={args.T}")
+    if args.N >= args.T:  # the sweep's rule: DET and LRF diverge at c = 1
+        raise ParameterError(
+            f"cli: theory needs N < T for DET and LRF, got N={args.N}, T={args.T}"
+        )
     c = args.N / args.T
     mm = msr_moments(c, args.L)
     rows = [("MSR", mm.expectation, mm.variance)]

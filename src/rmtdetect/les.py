@@ -99,13 +99,12 @@ def get_function(name: str) -> TestFunction:
         ) from None
 
 
-def les(spectrum, f: TestFunction, clamp: bool = False) -> float:
+def les(spectrum, f: TestFunction) -> float:
     """Empirical LES of a spectrum: sum phi(lambda_i), or the mean modulus
     when f is averaged (MSR).
 
-    Log-domain functions reject nonpositive eigenvalues unless `clamp` is
-    set, in which case offenders are replaced by LOG_CLAMP and the counter
-    behind clamp_event_count() is incremented.
+    Log-domain functions replace nonpositive eigenvalues by LOG_CLAMP and
+    add their number to the counter behind clamp_event_count().
     """
     lam = np.asarray(getattr(spectrum, "eigenvalues", spectrum))
     if f.domain == "modulus":
@@ -115,10 +114,6 @@ def les(spectrum, f: TestFunction, clamp: bool = False) -> float:
         if f.domain == "positive":
             bad = int(np.sum(vals <= 0))
             if bad:
-                if not clamp:
-                    raise ContractError(
-                        f"les: {f.name} needs positive eigenvalues, found {bad} at or below zero"
-                    )
                 global _clamp_events
                 with _clamp_lock:
                     _clamp_events += bad
@@ -147,15 +142,15 @@ def window_taus(
         rp = ring_product([x] * L, seed)
         lam = eigen_general(rp.values, N=x.N, T=x.T, L=L)
         for f in ring:
-            out[f.name] = les(lam, f, clamp=True)
+            out[f.name] = les(lam, f)
     if cov:
         lam = eigen_hermitian(covariance(x, "M"), T=x.T, c=x.c)
         for f in cov:
-            out[f.name] = les(lam, f, clamp=True)
+            out[f.name] = les(lam, f)
     return out
 
 
-def lln_expectation(f: TestFunction, d: ReferenceDensity, N: int, rtol: float = 1e-8) -> float:
+def lln_expectation(f: TestFunction, d: ReferenceDensity, N: int) -> float:
     """Law-of-large-numbers limit: N * integral of phi against d.
 
     MSR returns the plain integral (no N factor), matching its averaged
@@ -167,7 +162,7 @@ def lln_expectation(f: TestFunction, d: ReferenceDensity, N: int, rtol: float = 
             raise DivergenceError(
                 f"les: {f.name} against {d.kind} with support touching zero diverges"
             )
-    mean = d.mean_phi(f.phi, rtol=rtol)
+    mean = d.mean_phi(f.phi)
     return mean if f.averaged else N * mean
 
 
@@ -190,12 +185,7 @@ def msr_moments(c: float, L: int = 1) -> TheoreticalMoments:
     return TheoreticalMoments(expectation=e1, variance=law.radial_moment(2) - e1**2)
 
 
-def clt_variance(
-    f: TestFunction,
-    c: float,
-    kappa4: float = 0.0,
-    rtol: float = 1e-7,
-) -> float:
+def clt_variance(f: TestFunction, c: float, kappa4: float = 0.0) -> float:
     """Fluctuation variance of a covariance LES for i.i.d. entries.
 
     With zeta(theta) = 1 + 1/c + (2/sqrt(c)) sin(theta) and psi the divided
@@ -204,8 +194,8 @@ def clt_variance(
         V = (2 / (c pi^2)) double-int psi^2 (1 - sin t1 sin t2) dt1 dt2
             + (kappa4 / pi^2) (int phi(zeta) sin t dt)^2.
 
-    The diagonal of psi is the derivative limit phi'(zeta); it is used
-    whenever |t1 - t2| < 1e-6.
+    The diagonal of psi is the derivative limit phi'(zeta) (f.deriv, which
+    every covariance function defines); it is used whenever |t1 - t2| < 1e-6.
     """
     if not 0 < c <= 1:
         raise ParameterError(f"les: clt variance needs 0 < c <= 1, got {c}")
@@ -214,13 +204,6 @@ def clt_variance(
         raise DivergenceError(f"les: {f.name} is singular on a support touching zero")
     if f.averaged:
         raise ContractError("les: clt_variance covers covariance LESs, not the averaged MSR")
-
-    if f.deriv is not None:
-        dphi = f.deriv
-    else:
-        def dphi(x, _p=f.phi):  # central difference fallback for custom functions
-            h = 1e-6 * np.maximum(np.abs(x), 1.0)
-            return (_p(x + h) - _p(x - h)) / (2.0 * h)
 
     A = 1.0 + 1.0 / c
     B = 2.0 / np.sqrt(c)
@@ -236,7 +219,7 @@ def clt_variance(
         with np.errstate(divide="ignore", invalid="ignore"):
             psi = np.subtract.outer(fz, fz) / dz
         near = dth < 1e-6
-        psi = np.where(near, np.broadcast_to(dphi(z)[:, None], psi.shape), psi)
+        psi = np.where(near, np.broadcast_to(f.deriv(z)[:, None], psi.shape), psi)
         if not np.isfinite(psi).all():
             raise NumericalFailureError("les: non-finite integrand in the fluctuation integral")
         s = np.sin(th)
@@ -245,7 +228,7 @@ def clt_variance(
         term2 = kappa4 / np.pi**2 * float(np.sum(wq * fz * s)) ** 2
         return term1 + term2
 
-    return _converge(total, rtol, start=64, cap=2048)
+    return _converge(total, 1e-7, start=64, cap=2048)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +259,7 @@ def mc_covariance_les(
         else:
             h = x @ x.T
             lam = np.linalg.eigvalsh((h + h.T) / 2.0 / N)
-            taus[i] = les(lam, f, clamp=True)
+            taus[i] = les(lam, f)
     return float(taus.mean()), float(taus.var(ddof=1))
 
 

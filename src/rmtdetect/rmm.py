@@ -7,7 +7,7 @@ The chain for the ring pipeline is
 
 and for the covariance pipeline
 
-    raw window  ->  row-standardized matrix  ->  S = XX^H/T  or  M = XX^H/N.
+    raw window  ->  row-standardized matrix  ->  M = XX^H/N.
 
 All variances use the population convention (divisor T), which pins the
 realized row variance to exactly 1.
@@ -35,6 +35,14 @@ DEGENERATE_POLICIES = ("error", "jitter")
 JITTER_SCALE = 1e-8
 
 
+def _unstandardized_rows(v: np.ndarray) -> np.ndarray:
+    """Indices of the rows whose mean is not 0 or whose variance is not 1
+    (a NaN row counts as not standardized)."""
+    mu = v.mean(axis=1)
+    var = (np.abs(v - mu[:, None]) ** 2).mean(axis=1)
+    return np.flatnonzero(~((np.abs(mu) <= 1e-10) & (np.abs(var - 1.0) <= 1e-8)))
+
+
 @dataclass(frozen=True)
 class StandardizedMatrix:
     """Row-wise zero-mean unit-variance matrix with aspect ratio c = N/T."""
@@ -47,9 +55,7 @@ class StandardizedMatrix:
         n, t = v.shape
         if n > t:
             raise AspectRatioError(f"rmm: {n} rows exceed {t} columns; need c = N/T <= 1")
-        mu = v.mean(axis=1)
-        var = (np.abs(v - mu[:, None]) ** 2).mean(axis=1)
-        if np.abs(mu).max() > 1e-10 or np.abs(var - 1.0).max() > 1e-8:
+        if _unstandardized_rows(v).size:
             raise ShapeError("rmm: rows are not standardized to mean 0, variance 1")
 
     @property
@@ -72,24 +78,14 @@ class RingProduct:
     values: np.ndarray
     L: int
 
-    @property
-    def N(self) -> int:
-        return self.values.shape[0]
-
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """Hermitian covariance under one of the two normalizations.
-
-    convention "S" divides by T; convention "M" divides by N, so M = S/c.
-    """
+    """Hermitian covariance M = XX^H/N of a standardized window."""
 
     values: np.ndarray
-    convention: str
 
     def __post_init__(self):
-        if self.convention not in ("S", "M"):
-            raise ParameterError(f"rmm: unknown covariance convention {self.convention!r}")
         v = np.asarray(self.values)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ShapeError(f"rmm: covariance must be square, got {v.shape}")
@@ -97,16 +93,17 @@ class CovarianceMatrix:
         if np.abs(v - v.conj().T).max() > 1e-12 * scale:
             raise ShapeError("rmm: covariance matrix is not Hermitian")
 
-    @property
-    def N(self) -> int:
-        return self.values.shape[0]
-
 
 MatrixLike = Union[np.ndarray, RawWindow]
 
 
 def _as_array(w: MatrixLike) -> np.ndarray:
     return np.asarray(w.values if isinstance(w, RawWindow) else w, dtype=float)
+
+
+def _row_names(w: MatrixLike, rows: np.ndarray) -> list:
+    """Node ids of the given rows, or the row indices for a bare array."""
+    return [w.node_ids[i] for i in rows] if isinstance(w, RawWindow) else list(rows)
 
 
 def standardize(
@@ -119,30 +116,39 @@ def standardize(
     Invariant under per-row positive affine transforms of the input, which
     is what makes every downstream statistic unit-free. A zero-variance row
     raises under policy="error"; policy="jitter" adds seeded Gaussian noise
-    of std JITTER_SCALE * (1 + |mean|) and standardizes the result.
+    of std JITTER_SCALE * (1 + |mean|) and standardizes the result. A row
+    float64 cannot standardize (a spread near eps times its offset, or
+    values whose sums or squares overflow) raises DegenerateRowError by
+    node id.
     """
     if policy not in DEGENERATE_POLICIES:
         raise ParameterError(f"rmm: unknown degenerate-row policy {policy!r}")
     X = _as_array(w)
-    mu = X.mean(axis=1, keepdims=True)
-    sd = X.std(axis=1, keepdims=True)
-    flat = np.flatnonzero(sd.ravel() == 0.0)
-    if flat.size:
-        if policy == "error":
-            names = (
-                [w.node_ids[i] for i in flat] if isinstance(w, RawWindow) else list(flat)
-            )
-            raise DegenerateRowError(f"rmm: zero-variance rows: {names}")
-        rng = as_generator(seed)
-        noise = rng.normal(0.0, 1.0, size=(flat.size, X.shape[1]))
-        X = X.copy()  # the caller's array stays untouched
-        X[flat] += JITTER_SCALE * (1.0 + np.abs(mu[flat])) * noise
+    # a row whose sums or squares overflow turns inf or NaN and fails the check below
+    with np.errstate(over="ignore", invalid="ignore"):
         mu = X.mean(axis=1, keepdims=True)
         sd = X.std(axis=1, keepdims=True)
-    out = (X - mu) / sd
-    # second centering pass flushes the O(mean * eps) cancellation residue
-    out -= out.mean(axis=1, keepdims=True)
-    return StandardizedMatrix(out)
+        flat = np.flatnonzero(sd.ravel() == 0.0)
+        if flat.size:
+            if policy == "error":
+                raise DegenerateRowError(f"rmm: zero-variance rows: {_row_names(w, flat)}")
+            rng = as_generator(seed)
+            noise = rng.normal(0.0, 1.0, size=(flat.size, X.shape[1]))
+            X = X.copy()  # the caller's array stays untouched
+            X[flat] += JITTER_SCALE * (1.0 + np.abs(mu[flat])) * noise
+            mu = X.mean(axis=1, keepdims=True)
+            sd = X.std(axis=1, keepdims=True)
+        out = (X - mu) / sd
+        # second centering pass flushes the O(mean * eps) cancellation residue
+        out -= out.mean(axis=1, keepdims=True)
+    try:
+        return StandardizedMatrix(out)
+    except ShapeError:
+        bad = _row_names(w, _unstandardized_rows(out))
+        raise DegenerateRowError(
+            f"rmm: rows {bad} cannot be standardized in float64: their spread is below "
+            "what float64 resolves at their magnitude, or their sums or squares overflow"
+        ) from None
 
 
 def haar_unitary(n: int, seed: SeedLike) -> np.ndarray:
@@ -209,12 +215,15 @@ def ring_product(windows: Sequence[StandardizedMatrix], seed: SeedLike) -> RingP
 
 
 def covariance(x: StandardizedMatrix, convention: str = "M") -> CovarianceMatrix:
-    """Covariance S = XX^H/T or M = XX^H/N = S/c, symmetrized before return."""
-    if convention not in ("S", "M"):
-        raise ParameterError(f"rmm: unknown covariance convention {convention!r}")
+    """Covariance M = XX^H/N, symmetrized before return.
+
+    "M" is the only convention; the argument stays so callers name it.
+    """
+    if convention != "M":
+        raise ParameterError(f"rmm: unknown covariance convention {convention!r}; only 'M'")
     X = x.values
     h = X @ X.conj().T
     h = (h + h.conj().T) / 2.0
-    h /= x.T if convention == "S" else x.N
-    return CovarianceMatrix(h, convention)
+    h /= x.N
+    return CovarianceMatrix(h)
 

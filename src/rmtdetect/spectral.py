@@ -4,14 +4,13 @@ Three limiting densities are housed here:
 
 * the ring law for products of singular-value equivalents (planar density
   over the annulus, plus its induced radial law),
-* the rectangular covariance law in both normalizations ("mp" for S = XX^H/T,
-  "mp2" for M = XX^H/N),
+* the rectangular covariance law of M = XX^H/N ("mp2"),
 * the semicircle law for symmetric Gaussian matrices.
 
 Covariance-law integrals run under the substitution
-lambda = sigma^2 (1 + 1/c + (2/sqrt(c)) sin(theta)) (and its "mp" analogue),
-which removes the square-root endpoint singularities and leaves a smooth
-integrand on [-pi/2, pi/2].
+lambda = sigma^2 (1 + 1/c + (2/sqrt(c)) sin(theta)), which removes the
+square-root endpoint singularities and leaves a smooth integrand on
+[-pi/2, pi/2].
 """
 
 from __future__ import annotations
@@ -64,7 +63,6 @@ def eigen_general(
     a: np.ndarray,
     N: Optional[int] = None,
     T: Optional[int] = None,
-    c: Optional[float] = None,
     L: Optional[int] = None,
 ) -> SpectrumSet:
     """All eigenvalues (with multiplicity) of a general square matrix."""
@@ -78,7 +76,7 @@ def eigen_general(
             f"spectral: eigensolver failed on {a.shape[0]}x{a.shape[1]} matrix "
             f"(N={N}, T={T}, L={L}): {e}"
         ) from None
-    return SpectrumSet(lam, "ring", N=N if N is not None else a.shape[0], T=T, c=c, L=L)
+    return SpectrumSet(lam, "ring", N=N if N is not None else a.shape[0], T=T, L=L)
 
 
 def eigen_hermitian(
@@ -132,19 +130,11 @@ def sample_goe(n: int, omega2: float = 1.0, seed: SeedLike = None) -> np.ndarray
 
 @dataclass(frozen=True)
 class ReferenceDensity:
-    """Pointwise-evaluable limiting law with support and CDF."""
+    """Limiting law with support and CDF."""
 
     kind: str
 
     def support(self) -> Tuple[float, float]:
-        raise NotImplementedError
-
-    def pdf(self, x) -> np.ndarray:
-        """Pointwise density; zero outside the support.
-
-        For the ring law this is the planar density over the complex plane
-        at radius x; use RingLaw.radial_pdf for the law of |lambda|.
-        """
         raise NotImplementedError
 
     def cdf(self, x) -> np.ndarray:
@@ -179,6 +169,8 @@ class RingLaw(ReferenceDensity):
         return ((1.0 - self.c) ** (self.L / 2.0), 1.0)
 
     def pdf(self, r) -> np.ndarray:
+        """Planar density over the complex plane at radius r; zero off the
+        annulus. This is not the law of |lambda|: that is radial_pdf."""
         r = np.asarray(r, dtype=float)
         lo, hi = self.support()
         inside = (r >= lo) & (r <= hi)
@@ -215,11 +207,9 @@ class RingLaw(ReferenceDensity):
 
 @dataclass(frozen=True)
 class MarchenkoPastur(ReferenceDensity):
-    """Covariance law in either normalization.
+    """Covariance law of M = XX^H/N ("mp2"), support sigma2 (1 +- 1/sqrt(c))^2.
 
-    kind "mp"  : S = XX^H/T, support sigma2 (1 +- sqrt(c))^2;
-    kind "mp2" : M = XX^H/N, support sigma2 (1 +- 1/sqrt(c))^2.
-    The two are pushforwards of each other under lambda -> lambda / c.
+    "mp2" is the only kind; the field stays so callers name the law.
     """
 
     kind: str = "mp2"
@@ -227,48 +217,31 @@ class MarchenkoPastur(ReferenceDensity):
     sigma2: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("mp", "mp2"):
-            raise ParameterError(f"spectral: unknown covariance law {self.kind!r}")
+        if self.kind != "mp2":
+            raise ParameterError(f"spectral: unknown covariance law {self.kind!r}; only 'mp2'")
         if not 0 < self.c <= 1:
             raise ParameterError(f"spectral: covariance law needs 0 < c <= 1, got {self.c}")
         if self.sigma2 <= 0:
             raise ParameterError(f"spectral: sigma2 must be positive, got {self.sigma2}")
 
-    def _edges(self) -> Tuple[float, float]:
-        s = np.sqrt(self.c) if self.kind == "mp" else 1.0 / np.sqrt(self.c)
-        return (self.sigma2 * (1.0 - s) ** 2, self.sigma2 * (1.0 + s) ** 2)
-
     def support(self) -> Tuple[float, float]:
-        return self._edges()
-
-    def pdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        lo, hi = self._edges()
-        inside = (x >= lo) & (x <= hi)
-        denom = 2.0 * np.pi * self.sigma2 * np.where(x == 0.0, np.inf, x)
-        if self.kind == "mp":
-            denom = denom * self.c
-        prod = np.where(inside, (hi - x) * (x - lo), 0.0)
-        return np.where(inside, np.sqrt(prod) / denom, 0.0)
+        s = 1.0 / np.sqrt(self.c)
+        return (self.sigma2 * (1.0 - s) ** 2, self.sigma2 * (1.0 + s) ** 2)
 
     # --- theta substitution ---------------------------------------------
     def _zeta(self, th: np.ndarray) -> np.ndarray:
         rc = np.sqrt(self.c)
-        if self.kind == "mp":
-            return self.sigma2 * (1.0 + self.c + 2.0 * rc * np.sin(th))
         return self.sigma2 * (1.0 + 1.0 / self.c + (2.0 / rc) * np.sin(th))
 
     def _theta_weight(self, th: np.ndarray) -> np.ndarray:
-        """Density of theta such that pdf(zeta) dzeta = weight(theta) dtheta."""
+        """Density of theta such that density(zeta) dzeta = weight(theta) dtheta."""
         z = self._zeta(th) / self.sigma2
-        if self.kind == "mp":
-            return (2.0 / np.pi) * np.cos(th) ** 2 / z
         return (2.0 / (np.pi * self.c)) * np.cos(th) ** 2 / z
 
     def _theta_of(self, x: np.ndarray) -> np.ndarray:
         rc = np.sqrt(self.c)
-        shift = 1.0 + self.c if self.kind == "mp" else 1.0 + 1.0 / self.c
-        half = 2.0 * rc if self.kind == "mp" else 2.0 / rc
+        shift = 1.0 + 1.0 / self.c
+        half = 2.0 / rc
         s = (np.asarray(x, dtype=float) / self.sigma2 - shift) / half
         return np.arcsin(np.clip(s, -1.0, 1.0))
 
@@ -314,28 +287,10 @@ class Semicircle(ReferenceDensity):
         r = 2.0 * np.sqrt(self.omega2)
         return (-r, r)
 
-    def pdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        r2 = 4.0 * self.omega2
-        inside = x**2 < r2
-        val = np.sqrt(np.where(inside, r2 - x**2, 0.0)) / (2.0 * np.pi * self.omega2)
-        return np.where(inside, val, 0.0)
-
     def cdf(self, x) -> np.ndarray:
         r = 2.0 * np.sqrt(self.omega2)
         x = np.clip(np.asarray(x, dtype=float), -r, r)
         return 0.5 + (x * np.sqrt(r**2 - x**2) + r**2 * np.arcsin(x / r)) / (np.pi * r**2)
-
-    def mean_phi(self, phi: Callable, rtol: float = 1e-8) -> float:
-        w2 = self.omega2
-
-        def total(n):
-            x, w = _leggauss(n)
-            th = 0.5 * np.pi * x
-            lam = 2.0 * np.sqrt(w2) * np.sin(th)
-            return float(np.sum(w * phi(lam) * (2.0 / np.pi) * np.cos(th) ** 2) * 0.5 * np.pi)
-
-        return _converge(total, rtol)
 
 
 def _converge(total: Callable[[int], float], rtol: float, start: int = 64, cap: int = 4096) -> float:
@@ -352,7 +307,7 @@ def _converge(total: Callable[[int], float], rtol: float, start: int = 64, cap: 
 
 
 _KIND_MATCH = {
-    "covariance": ("mp", "mp2"),
+    "covariance": ("mp2",),
     "ring": ("ring",),
     "wigner": ("semicircle",),
 }

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rmtdetect import load_csv
-from rmtdetect.cli import main
+from rmtdetect.cli import _build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -56,10 +61,19 @@ def test_analyze_missing_input_names_path(capsys, tmp_path):
 
 
 def test_numerical_failure_exits_2(capsys):
-    # c = 1 makes the log-domain expectations diverge
-    code, _, err = run_cli(capsys, "theory", "--N", "10", "--T", "10")
+    # at c = 0.9999 the fluctuation quadrature runs out of nodes
+    code, _, err = run_cli(capsys, "theory", "--N", "9999", "--T", "10000")
     assert code == 2
-    assert "Divergence" in err
+    assert "NumericalFailureError" in err and "quadrature did not converge" in err
+
+
+def test_theory_needs_fewer_nodes_than_samples(capsys):
+    code, out, err = run_cli(capsys, "theory", "--N", "20", "--T", "20")
+    assert code == 1 and out == ""
+    assert "ParameterError" in err and "DET and LRF" in err and "N=20, T=20" in err
+    code, out, _ = run_cli(capsys, "theory", "--N", "19", "--T", "20")
+    assert code == 0
+    assert sorted(_theory_table(out)) == ["DET", "LRF", "MSR", "T2", "T3", "T4"]
 
 
 def test_simulate_preset_writes_outputs(capsys, tmp_path):
@@ -238,6 +252,27 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     cfg.write_text(json.dumps({"bogus_flag": 1}))
     code, _, err = run_cli(capsys, "theory", "--config", str(cfg), "--N", "10", "--T", "20")
     assert code == 1 and "bogus_flag" in err
+
+
+_, _COMMANDS = _build_parser()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    command=st.sampled_from(sorted(_COMMANDS)),
+    key=st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=12),
+)
+def test_config_key_matching_no_flag_is_named(command, key):
+    if key.replace("-", "_") in _COMMANDS[command].flags:
+        return
+    with tempfile.TemporaryDirectory() as d:
+        cfg = Path(d) / "cfg.json"
+        cfg.write_text(json.dumps({key: 1}))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(cfg)])
+    assert code == 1
+    assert f"config key {key!r} matches no flag" in err.getvalue()
 
 
 def test_env_seed_fallback(tmp_path, monkeypatch, capsys):

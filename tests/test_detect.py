@@ -157,6 +157,35 @@ def test_degenerate_row_error_names_the_node():
             regional_series(src, cfg)
 
 
+def _lrf_sweep(vals):
+    ids = tuple(f"n{i}" for i in range(vals.shape[0]))
+    src = DataSource(vals, ids, tuple(range(vals.shape[1])))
+    sweep(src, small_cfg(window=WindowSpec(T=30), functions=("LRF",)))
+
+
+def test_large_offset_row_names_its_node():
+    # at an offset-to-noise ratio of 1e12 the centering residue breaks the
+    # unit-variance check; the error blames float64 precision, by node
+    noise = np.random.default_rng(0).standard_normal((8, 80))
+    with pytest.raises(DegenerateRowError, match=r"rows \['n\d'.*float64"):
+        _lrf_sweep(1e9 + 1e-3 * noise)
+    vals = noise.copy()
+    vals[5] = 1e11 + 1e-3 * noise[5]
+    with pytest.raises(DegenerateRowError, match=r"rows \['n5'\] .*float64"):
+        _lrf_sweep(vals)
+
+
+def test_row_near_float64_limit_names_its_node():
+    # squared deviations of order 1e197, or a row sum near 1e310, overflow:
+    # no warning and no NaN reaches the eigensolver, a named error does
+    noise = np.random.default_rng(1).standard_normal((8, 80))
+    for row, values in ((2, 1e200 * (1.0 + 1e-3 * noise[2])), (6, 1e307 * (5.0 + noise[6]))):
+        vals = noise.copy()
+        vals[row] = values
+        with pytest.raises(DegenerateRowError, match=rf"rows \['n{row}'\] .*float64"):
+            _lrf_sweep(vals)
+
+
 def test_mc_reps_below_two_is_rejected():
     for reps in (0, 1):
         with pytest.raises(ParameterError, match="mc_reps"):

@@ -1,5 +1,10 @@
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rmtdetect import (
     DataSource,
@@ -19,6 +24,7 @@ from rmtdetect.errors import (
     ParameterError,
     UnrecoverableRowError,
 )
+from rmtdetect.ingest import MISSING_POLICIES
 from rmtdetect.les import LRF
 
 CSV_3x4 = "node_id,0,1,2,3\na,1.0,2.0,3.0,4.0\nb,5,6,7,8\nc,-1,0.5,2e-1,9\n"
@@ -75,6 +81,72 @@ def test_leading_missing_cell_cannot_forward_fill(tmp_path):
     p.write_text("node_id,0,1\na,,2.0\nb,3,4\n")
     with pytest.raises(MalformedInputError, match="leading"):
         load_csv(p, policy="forward-fill")
+
+
+MISSING_TOKENS = ("", " ", "nan", "NaN", "inf", "-inf")
+
+# a cell is None (missing, written as one of MISSING_TOKENS) or a finite float
+_cell = st.one_of(st.none(), st.floats(min_value=-1e6, max_value=1e6))
+
+
+@st.composite
+def _grids(draw):
+    n, t = draw(st.integers(2, 4)), draw(st.integers(2, 6))
+    grid = [[draw(_cell) for _ in range(t)] for _ in range(n)]
+    text = [[draw(st.sampled_from(MISSING_TOKENS)) if v is None else repr(v) for v in row]
+            for row in grid]
+    return grid, text
+
+
+def _expected_load(grid, policy):
+    """Plain re-implementation of the missing-cell policies.
+
+    Returns the filled rows, or (error class, CSV line, CSV column or None)
+    for the first row that cannot be loaded.
+    """
+    out = []
+    for line, row in enumerate(grid, start=2):
+        missing = [v is None for v in row]
+        if all(missing):
+            return UnrecoverableRowError, line, None
+        if any(missing):
+            if policy == "error":
+                return MalformedInputError, line, missing.index(True) + 2
+            if policy == "forward-fill":
+                if missing[0]:
+                    return MalformedInputError, line, None
+                filled = []
+                for v in row:
+                    filled.append(filled[-1] if v is None else v)
+                row = filled
+            else:
+                finite = [v for v in row if v is not None]
+                row = [sum(finite) / len(finite) if v is None else v for v in row]
+        out.append(row)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_text=_grids(), policy=st.sampled_from(MISSING_POLICIES))
+def test_missing_cell_policies_match_reference(grid_text, policy):
+    grid, text = grid_text
+    body = "".join(f"n{i}," + ",".join(row) + "\n" for i, row in enumerate(text))
+    header = "node_id," + ",".join(str(j) for j in range(len(grid[0]))) + "\n"
+    expected = _expected_load(grid, policy)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "d.csv"
+        path.write_text(header + body)
+        if isinstance(expected, tuple):
+            cls, line, column = expected
+            with pytest.raises(cls) as err:
+                load_csv(path, policy=policy)
+            assert re.search(rf"row {line}\b", str(err.value))
+            if column is not None:
+                assert re.search(rf"column {column}\b", str(err.value))
+        else:
+            np.testing.assert_allclose(
+                load_csv(path, policy=policy).values, expected, rtol=1e-12, atol=1e-8
+            )
 
 
 def test_non_numeric_cell(tmp_path):

@@ -47,13 +47,13 @@ def test_msr_single_draw_near_expectation():
 def test_les_log_domain_guard_and_clamp():
     from rmtdetect.les import clamp_event_count
 
-    lam = np.array([1.0, 0.0, 2.0])
-    with pytest.raises(ContractError):
-        les(lam, DET)
+    lam = np.array([1.0, 0.0, -3.0, 2.0])
     before = clamp_event_count()
-    val = les(lam, DET, clamp=True)
-    assert clamp_event_count() == before + 1
-    assert val == pytest.approx(np.log(1.0) + np.log(1e-12) + np.log(2.0))
+    val = les(lam, DET)
+    assert clamp_event_count() == before + 2
+    assert val == pytest.approx(np.log(2.0) + 2 * np.log(1e-12))
+    assert les(np.array([1.0, 2.0]), DET) == pytest.approx(np.log(2.0))
+    assert clamp_event_count() == before + 2
 
 
 def test_les_linearity_of_sum_form():

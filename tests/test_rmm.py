@@ -194,14 +194,15 @@ def _orthogonal_unit_rows(n, t):
 
 
 def test_covariance_of_orthogonal_rows_is_identity():
+    # XX^H = T I for these rows, so M = XX^H/N is the identity over c
     x = StandardizedMatrix(_orthogonal_unit_rows(6, 48))
-    s = covariance(x, "S")
-    np.testing.assert_allclose(s.values, np.eye(6), atol=1e-10)
+    m = covariance(x, "M")
+    np.testing.assert_allclose(m.values * x.c, np.eye(6), atol=1e-10)
 
 
 def test_m_equals_s_over_c():
     x = standardize(_gauss(10, 40, 3))
-    s = covariance(x, "S").values
+    s = x.values @ x.values.T / x.T
     m = covariance(x, "M").values
     np.testing.assert_allclose(m, s / x.c, atol=1e-12)
 
@@ -220,5 +221,6 @@ def test_eigenvalue_sum_matches_trace():
 
 def test_covariance_bad_convention():
     x = standardize(_gauss(4, 10, 0))
-    with pytest.raises(ParameterError):
-        covariance(x, "Q")
+    for convention in ("Q", "S"):  # "M" is the only normalization
+        with pytest.raises(ParameterError):
+            covariance(x, convention)

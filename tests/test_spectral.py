@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import integrate
 
 from rmtdetect import (
     MarchenkoPastur,
@@ -99,11 +100,11 @@ def test_eigen_hermitian_permutation_invariance():
         RingLaw(c=0.3, L=1),
         RingLaw(c=0.7, L=2),
         RingLaw(c=1.0, L=1),
-        MarchenkoPastur(kind="mp", c=0.5),
+        MarchenkoPastur(kind="mp2", c=0.5),
         MarchenkoPastur(kind="mp2", c=C_SCENARIO),
         MarchenkoPastur(kind="mp2", c=0.9, sigma2=2.0),
-        Semicircle(omega2=1.0),
-        Semicircle(omega2=0.5),
+        RingLaw(c=C_SCENARIO, L=3),
+        MarchenkoPastur(kind="mp2", c=0.95, sigma2=0.5),
     ],
 )
 def test_densities_integrate_to_one(law):
@@ -118,15 +119,23 @@ def test_mp2_support_endpoints_at_scenario():
 
 
 def test_mp_density_zero_outside_support():
-    law = MarchenkoPastur(kind="mp", c=0.5)
+    # the CDF is flat outside the support and rising inside it
+    law = MarchenkoPastur(kind="mp2", c=0.5)
     lo, hi = law.support()
-    assert law.pdf(lo - 0.01) == 0.0
-    assert law.pdf(hi + 0.01) == 0.0
-    assert law.pdf((lo + hi) / 2) > 0.0
+    assert law.cdf(lo - 0.01) == law.cdf(lo) == 0.0
+    assert law.cdf(hi + 0.01) == law.cdf(hi) == pytest.approx(1.0, abs=1e-12)
+    assert 0.0 < law.cdf((lo + hi) / 2) < law.cdf((lo + 3 * hi) / 4) < 1.0
 
 
 def test_semicircle_center_value():
-    assert Semicircle(omega2=1.0).pdf(0.0) == pytest.approx(1 / np.pi, rel=1e-12)
+    law = Semicircle(omega2=1.0)
+    lo, hi = law.support()
+    assert law.cdf(lo) == pytest.approx(0.0, abs=1e-12)
+    assert law.cdf(0.0) == pytest.approx(0.5, abs=1e-12)
+    assert law.cdf(hi) == pytest.approx(1.0, abs=1e-12)
+    h = 1e-5  # the slope of the CDF at 0 is the density there, 1/pi
+    slope = (law.cdf(h) - law.cdf(-h)) / (2 * h)
+    assert slope == pytest.approx(1 / np.pi, rel=1e-8)
 
 
 def test_ring_planar_vs_radial_forms():
@@ -140,16 +149,29 @@ def test_ring_planar_vs_radial_forms():
 
 
 def test_mp2_is_pushforward_of_mp():
+    # the law of S = XX^H/T = cM, integrated directly from its textbook density
     c = 0.37
-    mp = MarchenkoPastur(kind="mp", c=c)
     mp2 = MarchenkoPastur(kind="mp2", c=c)
+    a, b = (1 - np.sqrt(c)) ** 2, (1 + np.sqrt(c)) ** 2
+
+    def mp_cdf(s):
+        # density sqrt((b - u)(u - a)) / (2 pi c u) under u = a + (b - a) sin^2 p
+        def integrand(p):
+            u = a + (b - a) * np.sin(p) ** 2
+            return (b - a) ** 2 * np.sin(2 * p) ** 2 / (4 * np.pi * c * u)
+
+        top = np.arcsin(np.sqrt(np.clip((s - a) / (b - a), 0.0, 1.0)))
+        return integrate.quad(integrand, 0.0, top)[0]
+
     xs = np.linspace(*mp2.support(), 41)
-    np.testing.assert_allclose(mp2.cdf(xs), mp.cdf(c * xs), atol=1e-6)
+    np.testing.assert_allclose(mp2.cdf(xs), [mp_cdf(c * x) for x in xs], atol=1e-6)
 
 
 def test_density_parameter_validation():
     with pytest.raises(ParameterError):
         RingLaw(c=1.5)
+    with pytest.raises(ParameterError):
+        MarchenkoPastur(kind="mp", c=0.5)  # M = XX^H/N ("mp2") is the only normalization
     with pytest.raises(ParameterError):
         MarchenkoPastur(kind="mp2", c=0.0)
     with pytest.raises(ParameterError):
