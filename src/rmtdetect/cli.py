@@ -258,6 +258,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_theory(args) -> int:
+    if not np.isfinite(args.kappa4):
+        raise ParameterError(f"cli: --kappa4 must be finite, got {args.kappa4}")
     if args.N >= args.T:  # the sweep's rule: DET and LRF diverge at c = 1
         raise ParameterError(
             f"cli: theory needs N < T for DET and LRF, got N={args.N}, T={args.T}"
@@ -281,6 +283,10 @@ def _cmd_theory(args) -> int:
 
 def _cmd_pca(args) -> int:
     seed = _resolve_seed(args)
+    # event extraction settings; threshold_k is not used there, but the
+    # config checks --k like analyze's
+    cfg = DetectorConfig(window=WindowSpec(T=2), functions=("MSR",), threshold_k=args.k,
+                         base_seed=seed)
     src = load_csv(args.input, policy=args.missing)
     try:
         lo, hi = (int(x) for x in args.train.split(":"))
@@ -315,7 +321,6 @@ def _cmd_pca(args) -> int:
             "condition_number": model.condition_number,
         },
     )
-    cfg = DetectorConfig(window=WindowSpec(T=2), functions=("MSR",), base_seed=seed)
     report = extract_events(series, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

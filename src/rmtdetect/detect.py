@@ -38,12 +38,14 @@ from .errors import (
     ConfigurationError,
     ContractError,
     InsufficientHistoryError,
+    NumericalFailureError,
     ParameterError,
 )
 from .ingest import DataSource, RawWindow, RegionPartition, WindowSpec
 from .les import (
     LOG_CLAMP,
     RING_FUNCTIONS,
+    _map,
     clt_variance,
     get_function,
     lln_expectation,
@@ -76,8 +78,12 @@ class DetectorConfig:
     degenerate_policy: str = "error"
 
     def __post_init__(self):
-        if self.threshold_k <= 0:
-            raise ParameterError(f"detect: threshold k must be positive, got {self.threshold_k}")
+        if not (np.isfinite(self.threshold_k) and self.threshold_k > 0):
+            raise ParameterError(
+                f"detect: threshold k (--k) must be finite and positive, got {self.threshold_k}"
+            )
+        if not np.isfinite(self.kappa4):
+            raise ParameterError(f"detect: kappa4 (--kappa4) must be finite, got {self.kappa4}")
         object.__setattr__(self, "functions", tuple(self.functions))
         for name in self.functions:
             get_function(name)
@@ -170,17 +176,23 @@ def _window_ends(t: int, spec: WindowSpec) -> np.ndarray:
 
 
 def _sweep_rows(src: DataSource, ends: np.ndarray, cfg: DetectorConfig) -> Dict[str, np.ndarray]:
-    """tau per configured function at every window end, in end order."""
+    """tau per configured function at every window end, in end order.
+
+    Windows share no state and each draws from its own (base_seed, end)
+    seed, so _map may split the ends over worker processes without changing
+    a bit.
+    """
     fns = [get_function(name) for name in cfg.functions]
-    taus = {name: np.empty(len(ends)) for name in cfg.functions}
-    for i, end in enumerate(int(e) for e in ends):
+
+    def taus_at(end: int) -> Dict[str, float]:
         cols = slice(end - cfg.window.T + 1, end + 1)
         block = RawWindow(src.values[:, cols], src.node_ids, src.timestamps[cols], end)
         jitter_seed, ring_seed = window_seed(cfg.base_seed, end).spawn(2)
         std = standardize(block, policy=cfg.degenerate_policy, seed=jitter_seed)
-        for name, v in window_taus(std, cfg.window.L, fns, ring_seed).items():
-            taus[name][i] = v
-    return taus
+        return window_taus(std, cfg.window.L, fns, ring_seed)
+
+    rows = _map(taus_at, [int(e) for e in ends])
+    return {name: np.array([row[name] for row in rows], dtype=float) for name in cfg.functions}
 
 
 def _references(
@@ -221,6 +233,7 @@ def _calibration_mask(ends: np.ndarray, cfg: DetectorConfig) -> np.ndarray:
 
 
 def _assemble(
+    block: str,
     ends: np.ndarray,
     taus: Dict[str, np.ndarray],
     cfg: DetectorConfig,
@@ -230,6 +243,12 @@ def _assemble(
     out = {}
     for name, tau in taus.items():
         e_eta, e_flag, d_flag, mode = _references(cfg, name, N, cfg.window.T, tau, calib)
+        if not (np.isfinite(e_flag) and np.isfinite(d_flag) and d_flag >= 0):
+            # a NaN reference makes every comparison False: the track would never flag
+            raise NumericalFailureError(
+                f"detect: block {block!r}, function {name}: {mode} reference moments "
+                f"E={e_flag}, D={d_flag} are not a finite mean and nonnegative variance"
+            )
         eta = tau / e_eta if e_eta != 0.0 else np.full_like(tau, np.nan)
         scored = ~calib
         dev = np.abs(tau - e_flag)
@@ -263,9 +282,8 @@ def sweep(src: DataSource, cfg: DetectorConfig) -> IndicatorSeries:
     _check_blocks({WHOLE_SYSTEM: src}, cfg)
     ends = _window_ends(src.t, cfg.window)
     taus = _sweep_rows(src, ends, cfg)
-    data = {
-        (WHOLE_SYSTEM, name): fs for name, fs in _assemble(ends, taus, cfg, src.n).items()
-    }
+    series = _assemble(WHOLE_SYSTEM, ends, taus, cfg, src.n)
+    data = {(WHOLE_SYSTEM, name): fs for name, fs in series.items()}
     return IndicatorSeries(t=ends, data=data, meta=_meta(cfg, src))
 
 
@@ -308,7 +326,7 @@ def regional_series(src: DataSource, cfg: DetectorConfig) -> IndicatorSeries:
         base = IndicatorSeries(t=_window_ends(src.t, spec), data={}, meta=_meta(cfg, src))
     for region, sub in blocks.items():
         taus = _sweep_rows(sub, base.t, cfg)
-        for name, fs in _assemble(base.t, taus, cfg, sub.n).items():
+        for name, fs in _assemble(region, base.t, taus, cfg, sub.n).items():
             base.data[(region, name)] = fs
     return base
 

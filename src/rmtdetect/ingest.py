@@ -239,8 +239,15 @@ def _apply_policy(vals: np.ndarray, nid: str, policy: str, path, row: int) -> np
                 out[j] = out[j - 1]
         return out
     # row-mean
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = vals[~missing].mean()
+    if not np.isfinite(mean):
+        raise MalformedInputError(
+            f"ingest: {path} row {row} ({nid!r}): the mean of its finite cells overflows "
+            "float64; policy=row-mean cannot fill its missing cells"
+        )
     out = vals.copy()
-    out[missing] = vals[~missing].mean()
+    out[missing] = mean
     return out
 
 

@@ -20,13 +20,19 @@ Theoretical references:
   standardization pins each row's mean and variance and shrinks observed
   fluctuations well below this value, so detection thresholds built from it
   are conservative.
+
+The sweep's windows and the Monte Carlo trials of mc_ring_msr run through
+_map, which splits them over forked worker processes where BLAS leaves CPUs
+idle; results do not depend on the number of workers.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,8 +57,15 @@ _clamp_lock = threading.Lock()
 
 
 def clamp_event_count() -> int:
-    """Total eigenvalues replaced by LOG_CLAMP since import."""
+    """Total eigenvalues replaced by LOG_CLAMP since import, in worker
+    processes included."""
     return _clamp_events
+
+
+def _add_clamp_events(n: int) -> None:
+    global _clamp_events
+    with _clamp_lock:
+        _clamp_events += n
 
 
 @dataclass(frozen=True)
@@ -114,9 +127,7 @@ def les(spectrum, f: TestFunction) -> float:
         if f.domain == "positive":
             bad = int(np.sum(vals <= 0))
             if bad:
-                global _clamp_events
-                with _clamp_lock:
-                    _clamp_events += bad
+                _add_clamp_events(bad)
                 vals = np.maximum(vals, LOG_CLAMP)
     out = float(np.sum(f.phi(vals)))
     return out / len(vals) if f.averaged else out
@@ -279,19 +290,132 @@ def mc_ring_msr(
     The asymptotic radial moments carry a visible finite-size bias already
     at N ~ 100 (and a larger one for small regional blocks), so detection
     references calibrate both moments here. Each trial runs window_taus,
-    the sweep's own kernel, on one standardized Gaussian window. Results
-    are cached per parameter tuple.
+    the sweep's own kernel, on one standardized Gaussian window. Trial i
+    draws from its own seed (seed_base, N, T, L, i), so _map may split the
+    trials over worker processes without changing a bit. Results are
+    cached per parameter tuple.
     """
     key = (N, T, L, reps, seed_base)
     with _ring_cache_lock:
         if key in _ring_cache:
             return _ring_cache[key]
-    vals = np.empty(reps)
-    for i in range(reps):
+
+    def trial(i: int) -> float:
         rng = as_generator(derived_seed(seed_base, 0xCA11B, N, T, L, i))
         x = standardize(rng.standard_normal((N, T)))
-        vals[i] = window_taus(x, L, (MSR,), rng)["MSR"]
+        return window_taus(x, L, (MSR,), rng)["MSR"]
+
+    vals = np.array(_map(trial, range(reps)))
     out = (float(vals.mean()), float(vals.var(ddof=1)))
     with _ring_cache_lock:
         _ring_cache[key] = out
     return out
+
+
+# ---------------------------------------------------------------------------
+# Worker processes
+# ---------------------------------------------------------------------------
+
+
+def _blas_threads(cpus: int) -> int:
+    """BLAS threads per process, as OpenBLAS reads them when it loads: the
+    first positive OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, else one per
+    usable CPU."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            n = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if n > 0:
+            return min(n, cpus)
+    return cpus
+
+
+def _worker_count() -> int:
+    """Processes _map may use: usable CPUs over BLAS threads per process.
+
+    Worker processes only pay where BLAS leaves CPUs idle: with BLAS on
+    every CPU, two forked workers ran 2.6x slower than one process. The
+    count is 1 where fork is unavailable, and while another Python thread
+    runs, because a child forked while a thread holds a lock inherits the
+    lock held and can deadlock on it.
+    """
+    if (
+        "fork" not in multiprocessing.get_all_start_methods()
+        or not hasattr(os, "sched_getaffinity")
+        or threading.active_count() > 1
+    ):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    return max(1, cpus // _blas_threads(cpus))
+
+
+def _run_chunk(fn: Callable[[Any], Any], chunk: Sequence, conn, parent: int) -> None:
+    """Body of a worker process: fn over its chunk, then one message on conn,
+    (True, results, clamps) or (False, exception, clamps)."""
+    start = _clamp_events
+    try:
+        out = []
+        for x in chunk:
+            if os.getppid() != parent:
+                return  # orphaned: nobody is left to read the results
+            out.append(fn(x))
+        conn.send((True, out, _clamp_events - start))
+    except Exception as e:  # handed to the parent, which raises it
+        conn.send((False, e, _clamp_events - start))
+    finally:
+        conn.close()
+
+
+def _map(fn: Callable[[Any], Any], items: Sequence) -> List[Any]:
+    """[fn(x) for x in items], split over forked one-shot worker processes.
+
+    items is cut into _worker_count() contiguous chunks. The first runs in
+    this process; each other chunk runs in a child forked from it, which
+    inherits fn and its chunk, sends its results back through a one-way pipe
+    and exits. Every child is joined before _map returns, and terminated
+    first when the call fails. fn must not depend on state the other items
+    change: results come back in item order and do not depend on the number
+    of workers. An error raised by fn reaches the caller with its type and
+    message; the earliest chunk's error wins, as in the plain loop. Clamps a
+    child counts are added to clamp_event_count().
+    """
+    items = list(items)
+    k = min(len(items), _worker_count())
+    if k <= 1:
+        return [fn(x) for x in items]
+    bounds = [len(items) * j // k for j in range(k + 1)]
+    chunks = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    ctx = multiprocessing.get_context("fork")
+    parent = os.getpid()
+    workers = []
+    done = False
+    try:
+        for chunk in chunks[1:]:
+            reader, writer = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_run_chunk, args=(fn, chunk, writer, parent))
+            proc.start()
+            writer.close()
+            workers.append((proc, reader))
+        out = [fn(x) for x in chunks[0]]
+        for proc, reader in workers:
+            try:
+                ok, value, clamps = reader.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"les: worker process {proc.pid} exited with code {proc.exitcode} "
+                    "before sending its results"
+                ) from None
+            _add_clamp_events(clamps)
+            if not ok:
+                raise value
+            out.extend(value)
+        done = True
+        return out
+    finally:
+        for proc, reader in workers:
+            reader.close()
+            if not done:
+                proc.terminate()
+            proc.join()

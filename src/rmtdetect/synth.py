@@ -103,16 +103,17 @@ def generate(sc: Scenario, seed: SeedLike = 0) -> DataSource:
     scale = np.full((sc.n, sc.t), sc.noise_std)
     signal = np.zeros((sc.n, sc.t))
     for seg in sc.segments:
-        cols = np.arange(seg.start, seg.end)
+        cols = slice(seg.start, seg.end)
         sig = seg.signal()
-        rows = np.arange(sc.n) if seg.nodes is None else np.array(seg.nodes)
-        signal[np.ix_(rows, cols)] += sig[None, :]
+        rows = slice(None) if seg.nodes is None else np.array(seg.nodes, dtype=int)
+        signal[rows, cols] += sig[None, :]
         if seg.coupling > 0:
             signal[:, cols] += seg.coupling * sig[None, :] / np.sqrt(sc.n)
         if seg.kind == "collapse":
-            growth = np.exp(seg.rate * (cols - seg.start))
-            scale[np.ix_(rows, cols)] *= growth[None, :]
-    values = signal + scale * noise
+            growth = np.exp(seg.rate * np.arange(seg.end - seg.start))
+            scale[rows, cols] *= growth[None, :]
+    # signal + scale * noise, in place: no n x t temporaries
+    values = np.add(signal, np.multiply(scale, noise, out=scale), out=signal)
     return DataSource(values, sc.node_ids(), tuple(range(sc.t)))
 
 

@@ -1,3 +1,6 @@
+import glob
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,31 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in sorted(ACCEPTANCE_LINES):
             terminalreporter.write_line(line)
+
+
+def child_pids(pid="self"):
+    """Pids of the child processes of pid, running or defunct (Linux only)."""
+    pids = []
+    for path in glob.glob(f"/proc/{pid}/task/*/children"):
+        with open(path) as fh:
+            pids += [int(p) for p in fh.read().split()]
+    return pids
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Fail the run if a test left a child process behind, running or defunct.
+
+    Worker processes must all be joined before the call that started them
+    returns; a leftover one would outlive the run.
+    """
+    left = set(child_pids())
+    # read after /proc: active_children() also reaps finished workers
+    left.update(proc.pid for proc in multiprocessing.active_children())
+    if left:
+        reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+        if reporter is not None:
+            reporter.write_line(f"child processes left by the tests: {sorted(left)}", red=True)
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -65,6 +66,33 @@ def test_numerical_failure_exits_2(capsys):
     code, _, err = run_cli(capsys, "theory", "--N", "9999", "--T", "10000")
     assert code == 2
     assert "NumericalFailureError" in err and "quadrature did not converge" in err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("analyze", "--k", "nan"),
+        ("analyze", "--k", "inf"),
+        ("analyze", "--kappa4", "nan"),
+        ("pca-baseline", "--k", "nan"),
+        ("theory", "--kappa4", "nan"),
+    ],
+)
+def test_non_finite_threshold_or_kappa4_is_an_input_error(
+    small_run, tmp_path, capsys, command, flag, value
+):
+    # a NaN threshold made every comparison False: no window or sample flagged
+    _, data, _ = small_run
+    out = tmp_path / "out"
+    argv = {
+        "analyze": ["--input", str(data), "--T", "60", "--mc-reps", "20", "--out", str(out)],
+        "pca-baseline": ["--input", str(data), "--train", "0:100", "--out", str(out)],
+        "theory": ["--N", "10", "--T", "20"],
+    }[command]
+    code, _, err = run_cli(capsys, command, *argv, flag, value)
+    assert code == 1
+    assert "ParameterError" in err and re.search(rf"{flag}\b", err) and value in err
+    assert not out.exists()
 
 
 def test_theory_needs_fewer_nodes_than_samples(capsys):

@@ -14,6 +14,7 @@ from rmtdetect import (
     sample_gaussian_matrix,
     sweep,
 )
+import rmtdetect.detect as detect_module
 from rmtdetect.detect import (
     FunctionSeries,
     IndicatorSeries,
@@ -26,6 +27,7 @@ from rmtdetect.errors import (
     ConfigurationError,
     ContractError,
     DegenerateRowError,
+    NumericalFailureError,
     ParameterError,
 )
 
@@ -281,6 +283,23 @@ def test_calibration_reference_moments():
     # the step still flags against the data-driven reference
     flagged = series.t[fs.flag]
     assert len(flagged) > 0 and flagged.min() == 150
+
+
+def test_non_finite_reference_moment_names_block_and_function(monkeypatch):
+    # a NaN moment made every comparison False: the track silently never flagged
+    real_mc = detect_module.mc_ring_msr
+
+    def nan_for_seven_nodes(N, *args, **kw):
+        return (float("nan"), 1e-4) if N == 7 else real_mc(N, *args, **kw)
+
+    monkeypatch.setattr(detect_module, "mc_ring_msr", nan_for_seven_nodes)
+    src = step_source(n=12, t=200)
+    part = RegionPartition({"P": src.node_ids[:5], "Q": src.node_ids[5:]})
+    with pytest.raises(NumericalFailureError, match=r"block 'Q', function MSR"):
+        regional_series(src, small_cfg(regions=part, mc_reps=20))
+    # a large negative kappa4 drives the T2 fluctuation variance below zero
+    with pytest.raises(NumericalFailureError, match=r"block 'ALL', function T2.*D=-"):
+        sweep(src, small_cfg(functions=("T2",), kappa4=-1e6))
 
 
 def test_calibration_mode_requires_range():

@@ -1,3 +1,4 @@
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -54,6 +55,13 @@ def test_row_mean_policy(tmp_path):
     assert src.values[0, 1] == pytest.approx(2.0)
 
 
+def test_row_mean_overflow_names_its_row(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("node_id,0,1,2\na,1e308,1.5e308,\nb,1,2,3\n")
+    with pytest.raises(MalformedInputError, match=r"d\.csv row 2 \('a'\).*overflows"):
+        load_csv(p, policy="row-mean")
+
+
 def test_missing_cell_under_error_policy_names_location(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("node_id,0,1,2\na,1.0,,3.0\nb,4,5,6\n")
@@ -85,8 +93,9 @@ def test_leading_missing_cell_cannot_forward_fill(tmp_path):
 
 MISSING_TOKENS = ("", " ", "nan", "NaN", "inf", "-inf")
 
-# a cell is None (missing, written as one of MISSING_TOKENS) or a finite float
-_cell = st.one_of(st.none(), st.floats(min_value=-1e6, max_value=1e6))
+# a cell is None (missing, written as one of MISSING_TOKENS) or any finite
+# float, so a row's sum can overflow
+_cell = st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False))
 
 
 @st.composite
@@ -121,7 +130,10 @@ def _expected_load(grid, policy):
                 row = filled
             else:
                 finite = [v for v in row if v is not None]
-                row = [sum(finite) / len(finite) if v is None else v for v in row]
+                mean = sum(finite) / len(finite)  # inf or nan once the sum overflows
+                if not math.isfinite(mean):
+                    return MalformedInputError, line, None
+                row = [mean if v is None else v for v in row]
         out.append(row)
     return out
 
