@@ -297,13 +297,11 @@ def _cmd_pca(args) -> int:
     data = {}
     for j, nid in enumerate(model.nonpilot_ids):
         std = float(model.train_residual_std[j])
-        scored = (ts < lo) | (ts >= hi)
-        flag = scored & (resid[j] > args.k * std)
+        flag = ((ts < lo) | (ts >= hi)) & (resid[j] > args.k * std)
         data[(nid, "PCA")] = FunctionSeries(
             tau=resid[j],
             eta=resid[j] / std if std > 0 else np.full_like(resid[j], np.nan),
             flag=flag,
-            scored=scored,
             e_eta=std,
             e_flag=0.0,
             d_flag=std**2,

@@ -25,6 +25,7 @@ reports runs, not curve shapes.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -106,7 +107,6 @@ class FunctionSeries:
     tau: np.ndarray
     eta: np.ndarray
     flag: np.ndarray          # bool; always False on calibration windows
-    scored: np.ndarray        # bool; False marks calibration windows
     e_eta: float              # expectation used for eta
     e_flag: float             # expectation used for flagging
     d_flag: float             # variance used for flagging
@@ -197,6 +197,7 @@ def _sweep_rows(src: DataSource, ends: np.ndarray, cfg: DetectorConfig) -> Dict[
 
 def _references(
     cfg: DetectorConfig,
+    block: str,
     name: str,
     N: int,
     T: int,
@@ -212,7 +213,17 @@ def _references(
                 f"detect: calibration range holds {len(sel)} windows; need at least 2"
             )
         mu = float(sel.mean())
-        return mu, mu, float(sel.var(ddof=1)), "calibration"
+        var = float(sel.var(ddof=1))
+        sd = np.sqrt(var)
+        if sd <= 1e-12 * max(1.0, abs(mu)):
+            # with a zero band, one ulp of drift flags a window
+            lo, hi = cfg.calibration_range
+            raise ConfigurationError(
+                f"detect: block {block!r}, function {name}: tau does not vary over the "
+                f"calibration range [{lo}, {hi}] (sd {sd:.3g}, mean {mu:.6g}); "
+                "pick a range where the data fluctuates"
+            )
+        return mu, mu, var, "calibration"
     f = get_function(name)
     if name in RING_FUNCTIONS:
         e_eta = msr_moments(c, cfg.window.L).expectation
@@ -242,7 +253,7 @@ def _assemble(
     calib = _calibration_mask(ends, cfg)
     out = {}
     for name, tau in taus.items():
-        e_eta, e_flag, d_flag, mode = _references(cfg, name, N, cfg.window.T, tau, calib)
+        e_eta, e_flag, d_flag, mode = _references(cfg, block, name, N, cfg.window.T, tau, calib)
         if not (np.isfinite(e_flag) and np.isfinite(d_flag) and d_flag >= 0):
             # a NaN reference makes every comparison False: the track would never flag
             raise NumericalFailureError(
@@ -250,11 +261,10 @@ def _assemble(
                 f"E={e_flag}, D={d_flag} are not a finite mean and nonnegative variance"
             )
         eta = tau / e_eta if e_eta != 0.0 else np.full_like(tau, np.nan)
-        scored = ~calib
         dev = np.abs(tau - e_flag)
-        flag = scored & (dev > cfg.threshold_k * np.sqrt(d_flag))
+        flag = ~calib & (dev > cfg.threshold_k * np.sqrt(d_flag))
         out[name] = FunctionSeries(
-            tau=tau, eta=eta, flag=flag, scored=scored,
+            tau=tau, eta=eta, flag=flag,
             e_eta=e_eta, e_flag=e_flag, d_flag=d_flag, reference=mode,
         )
     return out
@@ -370,13 +380,9 @@ def extract_events(series: IndicatorSeries, cfg: DetectorConfig) -> EventReport:
         idx = np.flatnonzero(fs.flag)
         if idx.size == 0:
             continue
-        runs: List[List[int]] = [[idx[0], idx[0]]]
-        for i in idx[1:]:
-            gap_samples = (series.t[i] - series.t[runs[-1][1]]) - stride
-            if gap_samples <= cfg.gap_tolerance:
-                runs[-1][1] = i
-            else:
-                runs.append([i, i])
+        # a run ends where the unflagged samples up to the next flag exceed the gap tolerance
+        cut = np.flatnonzero(np.diff(series.t[idx]) - stride > cfg.gap_tolerance)
+        runs = zip(idx[np.r_[0, cut + 1]].tolist(), idx[np.r_[cut, idx.size - 1]].tolist())
         sigma = np.sqrt(fs.d_flag) if fs.d_flag > 0 else np.nan
         for lo, hi in runs:
             start_t = int(series.t[lo])
@@ -407,22 +413,24 @@ def extract_events(series: IndicatorSeries, cfg: DetectorConfig) -> EventReport:
 
 
 def write_indicator_csv(series: IndicatorSeries, path) -> None:
+    """One row per (region, function, t), byte for byte what csv.writer
+    writes, built and written one track at a time."""
     path = Path(path)
+    ts = [int(t) for t in series.t]
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "region", "function", "tau", "eta", "flag"])
+        fh.write("t,region,function,tau,eta,flag\r\n")
         for (region, name), fs in sorted(series.data.items()):
-            for i, t in enumerate(series.t):
-                writer.writerow(
-                    [
-                        int(t),
-                        region,
-                        name,
-                        repr(float(fs.tau[i])),
-                        repr(float(fs.eta[i])),
-                        "anomalous" if fs.flag[i] else "normal",
-                    ]
-                )
+            # csv.writer quotes the labels; no tau, eta or flag word needs quoting
+            label = io.StringIO()
+            csv.writer(label).writerow([region, name])
+            key = label.getvalue()[:-2]
+            taus = map(repr, fs.tau.tolist())
+            etas = map(repr, fs.eta.tolist())
+            words = ("anomalous" if f else "normal" for f in fs.flag.tolist())
+            fh.write("".join(
+                f"{t},{key},{tau},{eta},{word}\r\n"
+                for t, tau, eta, word in zip(ts, taus, etas, words)
+            ))
 
 
 def read_indicator_csv(path) -> IndicatorSeries:
@@ -450,7 +458,7 @@ def read_indicator_csv(path) -> IndicatorSeries:
         eta = np.array([by_t[t][1] for t in ts])
         flag = np.array([by_t[t][2] for t in ts], dtype=bool)
         data[key] = FunctionSeries(
-            tau=tau, eta=eta, flag=flag, scored=np.ones(len(ts), dtype=bool),
+            tau=tau, eta=eta, flag=flag,
             e_eta=np.nan, e_flag=np.nan, d_flag=np.nan, reference="unknown",
         )
     return IndicatorSeries(t=t_arr, data=data, meta={})

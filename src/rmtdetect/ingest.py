@@ -203,12 +203,16 @@ def load_csv(path, policy: str = "error") -> DataSource:
                 raise MalformedInputError(
                     f"ingest: {path} row {r}: {len(rec) - 1} cells, expected {len(timestamps)}"
                 )
-            vals = np.empty(len(timestamps))
-            for j, cell in enumerate(rec[1:]):
-                try:
-                    vals[j] = _parse_cell(cell)
-                except MalformedInputError as e:
-                    raise MalformedInputError(f"{e} (row {r}, column {j + 2})") from None
+            try:
+                # float strips whitespace itself, as _parse_cell does
+                vals = np.array(list(map(float, rec[1:])))
+            except ValueError:  # a blank or bad cell: parse cell by cell
+                vals = np.empty(len(timestamps))
+                for j, cell in enumerate(rec[1:]):
+                    try:
+                        vals[j] = _parse_cell(cell)
+                    except MalformedInputError as e:
+                        raise MalformedInputError(f"{e} (row {r}, column {j + 2})") from None
             vals = _apply_policy(vals, nid, policy, path, r)
             node_ids.append(nid)
             rows.append(vals)
@@ -258,7 +262,7 @@ def write_csv(src: DataSource, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["node_id", *src.timestamps])
         for nid, row in zip(src.node_ids, src.values):
-            writer.writerow([nid, *(repr(float(v)) for v in row)])
+            writer.writerow([nid, *map(repr, row.tolist())])
 
 
 def load_partition(path) -> RegionPartition:

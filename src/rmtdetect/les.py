@@ -275,7 +275,6 @@ def mc_covariance_les(
 
 
 _ring_cache: Dict[tuple, Tuple[float, float]] = {}
-_ring_cache_lock = threading.Lock()
 
 
 def mc_ring_msr(
@@ -296,9 +295,8 @@ def mc_ring_msr(
     cached per parameter tuple.
     """
     key = (N, T, L, reps, seed_base)
-    with _ring_cache_lock:
-        if key in _ring_cache:
-            return _ring_cache[key]
+    if key in _ring_cache:
+        return _ring_cache[key]
 
     def trial(i: int) -> float:
         rng = as_generator(derived_seed(seed_base, 0xCA11B, N, T, L, i))
@@ -307,8 +305,7 @@ def mc_ring_msr(
 
     vals = np.array(_map(trial, range(reps)))
     out = (float(vals.mean()), float(vals.var(ddof=1)))
-    with _ring_cache_lock:
-        _ring_cache[key] = out
+    _ring_cache[key] = out
     return out
 
 

@@ -4,7 +4,8 @@ onto a planar grid by inverse-distance weighting.
 IDW with exponent p keeps every interpolated cell inside [min, max] of the
 node values, is exact at node locations, and falls off smoothly in
 between: the three properties the spatial views rely on. Frames of a run
-share one bounding box so an animation does not jitter.
+share one bounding box so an animation does not jitter, and one set of
+weights, computed once per run.
 """
 
 from __future__ import annotations
@@ -53,12 +54,20 @@ def frame(
     missing = [nid for nid in values if nid not in layout]
     if missing:
         raise ContractError(f"mapgen: layout lacks coordinates for {missing[:5]}")
-    if grid_size < 2:
-        raise ContractError(f"mapgen: grid size must be >= 2, got {grid_size}")
-    pts = np.array([layout[nid] for nid in values], dtype=float)
-    vals = np.array([values[nid] for nid in values], dtype=float)
     if bounds is None:
         bounds = layout_bounds({nid: layout[nid] for nid in values})
+    weights = _idw_weights([layout[nid] for nid in values], bounds, grid_size, power)
+    vals = np.array([values[nid] for nid in values], dtype=float)
+    grid = _idw_grid(weights, vals)
+    return MapFrame(t=int(t), grid=grid, bounds=tuple(float(b) for b in bounds))
+
+
+def _idw_weights(points, bounds, grid_size: int, power: float) -> tuple:
+    """Everything of an IDW frame that depends on node positions only, not
+    on their values: every frame over the same nodes and grid shares it."""
+    if grid_size < 2:
+        raise ContractError(f"mapgen: grid size must be >= 2, got {grid_size}")
+    pts = np.array(points, dtype=float)
     xmin, xmax, ymin, ymax = bounds
     gx = np.linspace(xmin, xmax, grid_size)
     gy = np.linspace(ymin, ymax, grid_size)
@@ -67,37 +76,40 @@ def frame(
     snapped = d < NODE_SNAP
     with np.errstate(divide="ignore"):
         w = d**-power
-    grid = np.empty_like(cx)
     on_node = snapped.any(axis=-1)
     # exact-at-node rule beats the weight blow-up at zero distance
-    nearest = np.argmax(snapped, axis=-1)
-    grid[on_node] = vals[nearest[on_node]]
-    off = ~on_node
-    wsum = w[off].sum(axis=-1)
-    grid[off] = (w[off] * vals).sum(axis=-1) / wsum
-    return MapFrame(t=int(t), grid=grid, bounds=tuple(float(b) for b in bounds))
+    nearest = np.argmax(snapped, axis=-1)[on_node]
+    w_off = w[~on_node]
+    return on_node, nearest, w_off, w_off.sum(axis=-1)
 
 
-def _series_values_at(
+def _idw_grid(weights: tuple, vals: np.ndarray) -> np.ndarray:
+    """One frame's grid: the weighted mean of node values at every cell."""
+    on_node, nearest, w_off, wsum = weights
+    grid = np.empty(on_node.shape)
+    grid[on_node] = vals[nearest]
+    grid[~on_node] = (w_off * vals).sum(axis=-1) / wsum
+    return grid
+
+
+def _node_tracks(
     series: IndicatorSeries,
     function: str,
-    index: int,
     partition: Optional[RegionPartition],
     layout: Mapping[str, Tuple[float, float]],
-) -> Dict[str, float]:
-    """Per-node values for one timestamp: region tracks broadcast to their
-    member nodes; node-granular tracks map directly."""
-    out: Dict[str, float] = {}
+) -> Dict[str, np.ndarray]:
+    """The eta track behind each rendered node: region tracks broadcast to
+    their member nodes; node-granular tracks map directly."""
+    out: Dict[str, np.ndarray] = {}
     for (region, fname), fs in series.data.items():
         if fname != function:
             continue
-        val = float(fs.eta[index])
         if partition is not None and region in partition.regions:
             for nid in partition.regions[region]:
                 if nid in layout:
-                    out[nid] = val
+                    out[nid] = fs.eta
         elif region in layout:
-            out[region] = val
+            out[region] = fs.eta
     return out
 
 
@@ -132,24 +144,22 @@ def render_run(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     bounds = layout_bounds(layout)
+    tracks = _node_tracks(series, function, partition, layout)
+    if not tracks:
+        raise ConfigurationError(
+            "mapgen: no renderable node values; regions and layout do not overlap"
+        )
+    weights = _idw_weights([layout[nid] for nid in tracks], bounds, grid_size, power)
+    etas = np.array(list(tracks.values()), dtype=float)
+    frame_bounds = [float(b) for b in bounds]
     names = []
     for index in range(0, len(series.t), frame_stride):
         t = int(series.t[index])
-        values = _series_values_at(series, function, index, partition, layout)
-        if not values:
-            raise ConfigurationError(
-                "mapgen: no renderable node values; regions and layout do not overlap"
-            )
-        f = frame(values, layout, grid_size, power, bounds, t=t)
+        grid = _idw_grid(weights, etas[:, index])
         name = f"frame_{t:06d}.json"
         (out_dir / name).write_text(
             json.dumps(
-                {
-                    "t": f.t,
-                    "bounds": list(f.bounds),
-                    "quantity": "eta",
-                    "grid": [[float(v) for v in row] for row in f.grid],
-                }
+                {"t": t, "bounds": frame_bounds, "quantity": "eta", "grid": grid.tolist()}
             ),
             encoding="utf-8",
         )

@@ -1,3 +1,6 @@
+import csv
+import math
+
 import numpy as np
 import pytest
 
@@ -275,7 +278,6 @@ def test_calibration_reference_moments():
     series = sweep(src, cfg)
     fs = series.data[("ALL", "MSR")]
     calib = (series.t >= 59) & (series.t <= 140)
-    assert not fs.scored[calib].any()
     assert fs.flag[calib].sum() == 0
     assert fs.e_flag == pytest.approx(fs.tau[calib].mean())
     assert fs.d_flag == pytest.approx(fs.tau[calib].var(ddof=1))
@@ -283,6 +285,19 @@ def test_calibration_reference_moments():
     # the step still flags against the data-driven reference
     flagged = series.t[fs.flag]
     assert len(flagged) > 0 and flagged.min() == 150
+
+
+def test_zero_calibration_variance_is_a_configuration_error():
+    # a periodic calibration stretch gives identical windows: with d_flag ~ 1e-26
+    # one ulp of drift flagged a window at peak_sigma ~ 1e16
+    rng = np.random.default_rng(1)
+    period = rng.standard_normal((10, 20))
+    vals = np.concatenate([np.tile(period, 10), 3 * rng.standard_normal((10, 40)) + 5], axis=1)
+    src = DataSource(vals, tuple(f"n{i}" for i in range(10)), tuple(range(240)))
+    cfg = small_cfg(window=WindowSpec(T=40, stride=20), functions=("T2",),
+                    reference="calibration", calibration_range=(39, 159))
+    with pytest.raises(ConfigurationError, match=r"'ALL', function T2: .*\[39, 159\]"):
+        sweep(src, cfg)
 
 
 def test_non_finite_reference_moment_names_block_and_function(monkeypatch):
@@ -387,7 +402,7 @@ def _series_from_flags(flags, taus=None, stride=1):
     flags = np.asarray(flags, dtype=bool)
     tau = np.asarray(taus, dtype=float) if taus is not None else flags.astype(float)
     fs = FunctionSeries(
-        tau=tau, eta=tau, flag=flags, scored=np.ones_like(flags),
+        tau=tau, eta=tau, flag=flags,
         e_eta=1.0, e_flag=0.0, d_flag=1.0, reference="theoretical",
     )
     return IndicatorSeries(t=t, data={("R", "MSR"): fs}, meta={})
@@ -432,6 +447,30 @@ def test_extract_events_peak_deviation_and_direction():
     assert rep.events[0].direction == -1
 
 
+@pytest.mark.parametrize("stride,gap,min_dur", [(1, 0, 1), (1, 2, 3), (3, 2, 3), (3, 4, 7)])
+def test_extract_events_matches_plain_run_merge(stride, gap, min_dur):
+    cfg = small_cfg(window=WindowSpec(T=60, stride=stride), gap_tolerance=gap, min_duration=min_dur)
+    rng = np.random.default_rng(stride * 100 + gap)
+    flags = rng.random(400) < 0.6
+    taus = rng.standard_normal(400)
+    series = _series_from_flags(flags, taus, stride=stride)
+    # plain reference: walk the flagged samples, extending the open run while the gap allows
+    runs = []
+    for i in np.flatnonzero(flags):
+        if runs and series.t[i] - series.t[runs[-1][1]] - stride <= gap:
+            runs[-1][1] = i
+        else:
+            runs.append([i, i])
+    expected = []
+    for lo, hi in runs:
+        start, end = int(series.t[lo]), int(series.t[hi])
+        if end - start + stride >= min_dur:
+            dev = taus[lo:hi + 1]
+            expected.append((start, end, float(np.abs(dev).max())))
+    got = [(e.start_t, e.end_t, e.peak_sigma) for e in extract_events(series, cfg).events]
+    assert got == expected and len(got) > 5
+
+
 # --- serialization ----------------------------------------------------------------
 
 
@@ -464,3 +503,36 @@ def test_events_json_schema(tmp_path):
     for ev in data["events"]:
         assert {"region", "function", "start_t", "end_t", "peak_sigma", "direction"} <= set(ev)
         assert ev["start_t"] <= ev["end_t"]
+
+
+def test_indicator_csv_bytes_match_csv_writer(tmp_path):
+    t = np.array([7, 8, 9, 10, 11])
+    special = [math.nan, -0.0, 1e-05, 1e16, 5e-324]
+    tracks = {
+        ('A,"east"', "MSR"): (special, [0.1, math.inf, -math.inf, 2.5, 1.0]),
+        ('node "7", west', "PCA"): ([1.0, 2.0, 3.0, 4.0, 5.0], special),
+        ("line\nbreak", "T2"): ([0.0] * 5, [-1e-300] * 5),
+        ("ALL", "LRF"): (special[::-1], special),
+    }
+    data = {}
+    for i, (key, (tau, eta)) in enumerate(tracks.items()):
+        flag = (np.arange(5) + i) % 3 == 0
+        data[key] = FunctionSeries(
+            tau=np.array(tau), eta=np.array(eta), flag=flag,
+            e_eta=1.0, e_flag=0.0, d_flag=1.0, reference="theoretical",
+        )
+    series = IndicatorSeries(t=t, data=data, meta={})
+    write_indicator_csv(series, tmp_path / "fast.csv")
+    # the plain csv.writer form, one writerow per row
+    with (tmp_path / "ref.csv").open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "region", "function", "tau", "eta", "flag"])
+        for (region, name), fs in sorted(data.items()):
+            for i, ti in enumerate(t):
+                writer.writerow([int(ti), region, name, repr(float(fs.tau[i])),
+                                 repr(float(fs.eta[i])), "anomalous" if fs.flag[i] else "normal"])
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert fast == (tmp_path / "ref.csv").read_bytes()
+    for text in (b'"A,""east"""', b'"node ""7"", west"', b',nan,', b',-0.0,', b',1e-05,',
+                 b',1e+16,', b',5e-324,'):
+        assert text in fast

@@ -1,3 +1,4 @@
+import csv
 import math
 import re
 import tempfile
@@ -25,6 +26,7 @@ from rmtdetect.errors import (
     ParameterError,
     UnrecoverableRowError,
 )
+from rmtdetect import ingest
 from rmtdetect.ingest import MISSING_POLICIES
 from rmtdetect.les import LRF
 
@@ -159,6 +161,51 @@ def test_missing_cell_policies_match_reference(grid_text, policy):
             np.testing.assert_allclose(
                 load_csv(path, policy=policy).values, expected, rtol=1e-12, atol=1e-8
             )
+
+
+def _per_cell_load(path, policy):
+    """load_csv's values, every cell through _parse_cell one at a time."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        rows = []
+        for r, rec in enumerate(reader, start=2):
+            vals = np.empty(len(rec) - 1)
+            for j, cell in enumerate(rec[1:]):
+                try:
+                    vals[j] = ingest._parse_cell(cell)
+                except MalformedInputError as e:
+                    raise MalformedInputError(f"{e} (row {r}, column {j + 2})") from None
+            rows.append(ingest._apply_policy(vals, rec[0].strip(), policy, path, r))
+    return np.vstack(rows)
+
+
+def _outcome(load, path, policy):
+    try:
+        return "ok", load(path, policy).tobytes()
+    except MalformedInputError as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("policy", MISSING_POLICIES)
+@pytest.mark.parametrize(
+    "row",
+    [
+        " 1.5 ,\t-2e-3 , -0.0 ,7",   # padded cells
+        "nan,2,3,4",
+        "1, inf ,3,-inf",
+        "1,NaN, ,4",
+        "1,,3, 5e-324",
+        "1,2.5.1,3,4",               # a bad cell
+    ],
+)
+def test_load_csv_matches_per_cell_parse(tmp_path, row, policy):
+    p = tmp_path / "d.csv"
+    p.write_text(f"node_id,0,1,2,3\nz,1,2,3,4\nb,{row}\n")
+    got = _outcome(lambda path, pol: load_csv(path, policy=pol).values, p, policy)
+    assert got == _outcome(_per_cell_load, p, policy)
+    if "2.5.1" in row:
+        assert got[0] is MalformedInputError and "(row 3, column 3)" in got[1]
 
 
 def test_non_numeric_cell(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rmtdetect import frame, render_run
+from rmtdetect.mapgen import layout_bounds
 from rmtdetect.detect import FunctionSeries, IndicatorSeries
 from rmtdetect.errors import ConfigurationError, ContractError
 from rmtdetect.ingest import RegionPartition
@@ -64,7 +65,7 @@ def _eta_series(etas_by_region, t):
     for region, etas in etas_by_region.items():
         arr = np.asarray(etas, dtype=float)
         data[(region, "MSR")] = FunctionSeries(
-            tau=arr, eta=arr, flag=np.zeros(len(arr), bool), scored=np.ones(len(arr), bool),
+            tau=arr, eta=arr, flag=np.zeros(len(arr), bool),
             e_eta=1.0, e_flag=1.0, d_flag=1.0, reference="theoretical",
         )
     return IndicatorSeries(t=np.asarray(t), data=data, meta={})
@@ -138,3 +139,31 @@ def test_render_run_errors(tmp_path):
     lonely = RegionPartition({"OTHER": ("q0", "q1")}, layout={"q0": (0, 0), "q1": (1, 1)})
     with pytest.raises(ConfigurationError, match="overlap"):
         render_run(series, lonely.layout, tmp_path / "f", partition=lonely)
+
+
+def test_render_run_frames_match_frame_per_timestamp(tmp_path):
+    # every frame of a run shares one set of IDW weights; each must equal,
+    # byte for byte, the frame() call for its timestamp alone
+    rng = np.random.default_rng(5)
+    layout = {f"n{i}": tuple(rng.uniform(0, 10, 2)) for i in range(1, 7)}
+    layout["n0"] = (0.0, 0.0)      # on the grid's corner cell: snaps
+    layout["n7"] = (10.0, 10.0)
+    part = RegionPartition({"A": ("n0", "n1", "n2"), "B": ("n3", "n4")}, layout=layout)
+    t = np.arange(200, 207)
+    regions = {"A": rng.uniform(0.5, 1.5, 7), "B": rng.uniform(0.5, 1.5, 7),
+               "n5": rng.uniform(0, 2, 7)}   # a node-granular track
+    regions["B"][3] = np.nan
+    series = _eta_series(regions, t)
+    manifest = render_run(series, layout, tmp_path / "f", partition=part, frame_stride=2,
+                          grid_size=9, power=1.5)
+    names = json.loads(manifest.read_text())["frames"]
+    assert names == [f"frame_{t[i]:06d}.json" for i in range(0, 7, 2)]
+    for name, index in zip(names, range(0, 7, 2)):
+        values = {}
+        for (region, _), fs in series.data.items():
+            for nid in part.regions.get(region, (region,)):
+                values[nid] = float(fs.eta[index])
+        f = frame(values, layout, grid_size=9, power=1.5, bounds=layout_bounds(layout), t=t[index])
+        expected = json.dumps({"t": f.t, "bounds": list(f.bounds), "quantity": "eta",
+                               "grid": [[float(v) for v in row] for row in f.grid]})
+        assert (tmp_path / "f" / name).read_text() == expected
