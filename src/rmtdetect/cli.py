@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .detect import (
+    KAPPA4_MIN,
     DetectorConfig,
     FunctionSeries,
     IndicatorSeries,
@@ -258,8 +259,11 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    if not np.isfinite(args.kappa4):
-        raise ParameterError(f"cli: --kappa4 must be finite, got {args.kappa4}")
+    if not (np.isfinite(args.kappa4) and args.kappa4 >= KAPPA4_MIN):
+        raise ParameterError(
+            f"cli: --kappa4 must be finite and >= {KAPPA4_MIN:g}, the least excess kurtosis "
+            f"of any distribution; got {args.kappa4}"
+        )
     if args.N >= args.T:  # the sweep's rule: DET and LRF diverge at c = 1
         raise ParameterError(
             f"cli: theory needs N < T for DET and LRF, got N={args.N}, T={args.T}"

@@ -1,11 +1,11 @@
 """Moving-window sweep, indicator normalization, flagging, event extraction.
 
-For every stride-spaced window end, per region: build the window,
-standardize rows, form the ring product (for MSR) or the covariance M (for
-the other functions), take the spectrum, evaluate each configured LES, and
-flag samples where |tau - E_ref| > k sqrt(D_ref). Before any window runs,
-every block is checked against the window: N <= T, and N < T for DET and
-LRF.
+For every stride-spaced window end, per region: standardize the window's
+rows, form the ring product (for MSR) or the covariance M (for the other
+functions) and take the spectrum (les.window_spectra); then evaluate each
+configured LES over the stacked spectra of the track, and flag samples
+where |tau - E_ref| > k sqrt(D_ref). Before any window runs, every block is
+checked against the window: N <= T, and N < T for DET and LRF.
 
 Reference moments: for MSR both moments come from a cached Monte Carlo
 calibration at the exact (N, T, L) in play, because the asymptotic radial
@@ -42,25 +42,30 @@ from .errors import (
     NumericalFailureError,
     ParameterError,
 )
-from .ingest import DataSource, RawWindow, RegionPartition, WindowSpec
+from .ingest import DataSource, RegionPartition, WindowSpec
 from .les import (
     LOG_CLAMP,
     RING_FUNCTIONS,
-    _map,
     clt_variance,
     get_function,
     lln_expectation,
+    map_spectra,
     mc_ring_msr,
     msr_moments,
-    window_taus,
+    stacked_taus,
+    window_spectra,
 )
 # ring_product is imported but unused: the benchmark's tracer tests look the
 # name up in this namespace.
-from .rmm import ring_product, standardize  # noqa: F401
+from .rmm import ring_product  # noqa: F401
 from .rng import window_seed
 from .spectral import MarchenkoPastur
 
 WHOLE_SYSTEM = "ALL"
+
+# Excess kurtosis is E[x^4] / E[x^2]^2 - 3 >= -2 for every distribution;
+# below it the kappa4 term of clt_variance can turn a variance negative.
+KAPPA4_MIN = -2.0
 
 
 @dataclass(frozen=True)
@@ -83,8 +88,11 @@ class DetectorConfig:
             raise ParameterError(
                 f"detect: threshold k (--k) must be finite and positive, got {self.threshold_k}"
             )
-        if not np.isfinite(self.kappa4):
-            raise ParameterError(f"detect: kappa4 (--kappa4) must be finite, got {self.kappa4}")
+        if not (np.isfinite(self.kappa4) and self.kappa4 >= KAPPA4_MIN):
+            raise ParameterError(
+                f"detect: kappa4 (--kappa4) must be finite and >= {KAPPA4_MIN:g}, the least "
+                f"excess kurtosis of any distribution; got {self.kappa4}"
+            )
         object.__setattr__(self, "functions", tuple(self.functions))
         for name in self.functions:
             get_function(name)
@@ -180,19 +188,19 @@ def _sweep_rows(src: DataSource, ends: np.ndarray, cfg: DetectorConfig) -> Dict[
 
     Windows share no state and each draws from its own (base_seed, end)
     seed, so _map may split the ends over worker processes without changing
-    a bit.
+    a bit. The workers fill in the spectra; the taus are taken here, over
+    the stacks.
     """
     fns = [get_function(name) for name in cfg.functions]
+    T, L = cfg.window.T, cfg.window.L
 
-    def taus_at(end: int) -> Dict[str, float]:
-        cols = slice(end - cfg.window.T + 1, end + 1)
-        block = RawWindow(src.values[:, cols], src.node_ids, src.timestamps[cols], end)
-        jitter_seed, ring_seed = window_seed(cfg.base_seed, end).spawn(2)
-        std = standardize(block, policy=cfg.degenerate_policy, seed=jitter_seed)
-        return window_taus(std, cfg.window.L, fns, ring_seed)
+    def spectra_at(end: int):
+        return window_spectra(
+            src.values[:, end - T + 1 : end + 1], L, fns, window_seed(cfg.base_seed, end),
+            src.node_ids, cfg.degenerate_policy,
+        )
 
-    rows = _map(taus_at, [int(e) for e in ends])
-    return {name: np.array([row[name] for row in rows], dtype=float) for name in cfg.functions}
+    return stacked_taus(*map_spectra(spectra_at, [int(e) for e in ends], src.n, fns), fns)
 
 
 def _references(

@@ -21,13 +21,17 @@ Theoretical references:
   fluctuations well below this value, so detection thresholds built from it
   are conservative.
 
-The sweep's windows and the Monte Carlo trials of mc_ring_msr run through
-_map, which splits them over forked worker processes where BLAS leaves CPUs
-idle; results do not depend on the number of workers.
+Every window, in the sweep and in the Monte Carlo oracles, runs one kernel,
+window_spectra, which returns eigenvalues. The sweep's windows and the
+Monte Carlo trials of mc_ring_msr run it through map_spectra, which splits
+them over forked worker processes where BLAS leaves CPUs idle (_map) and
+stacks their spectra in this process; stacked_taus then evaluates each test
+function over the stacks. Results do not depend on the number of workers.
 """
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing
 import os
 import threading
@@ -37,16 +41,29 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ContractError, DivergenceError, NumericalFailureError, ParameterError
-from .rmm import StandardizedMatrix, covariance, ring_product, standardize
-from .rng import SeedLike, as_generator, derived_seed
+# ring_product is imported but unused: the benchmark's tracer tests look the
+# name up in this namespace.
+from .rmm import (  # noqa: F401
+    StandardizedMatrix,
+    _check_aspect,
+    _check_unit_rows,
+    _hermitian_sqrt,
+    _rescaled_product,
+    _standardized,
+    haar_unitary,
+    ring_product,
+    standardize,
+)
+from .rng import SeedLike, as_generator, child, derived_seed
 from .spectral import (
     MarchenkoPastur,
     ReferenceDensity,
     RingLaw,
     _converge,
+    _covariance_floor,
+    _eigvalsh,
     _leggauss,
     eigen_general,
-    eigen_hermitian,
 )
 
 LOG_CLAMP = 1e-12
@@ -57,8 +74,7 @@ _clamp_lock = threading.Lock()
 
 
 def clamp_event_count() -> int:
-    """Total eigenvalues replaced by LOG_CLAMP since import, in worker
-    processes included."""
+    """Total nonpositive eigenvalues clamped to LOG_CLAMP since import."""
     return _clamp_events
 
 
@@ -112,12 +128,15 @@ def get_function(name: str) -> TestFunction:
         ) from None
 
 
-def les(spectrum, f: TestFunction) -> float:
+def les(spectrum, f: TestFunction):
     """Empirical LES of a spectrum: sum phi(lambda_i), or the mean modulus
     when f is averaged (MSR).
 
-    Log-domain functions replace nonpositive eigenvalues by LOG_CLAMP and
-    add their number to the counter behind clamp_event_count().
+    On a stack of spectra, one per row, it returns one tau per row, each
+    the same bits as a call on that row alone. Log-domain functions raise
+    every eigenvalue of a spectrum that has a nonpositive one to at least
+    LOG_CLAMP and add the number of nonpositive ones to the counter behind
+    clamp_event_count().
     """
     lam = np.asarray(getattr(spectrum, "eigenvalues", spectrum))
     if f.domain == "modulus":
@@ -125,12 +144,127 @@ def les(spectrum, f: TestFunction) -> float:
     else:
         vals = lam.real.astype(float)
         if f.domain == "positive":
-            bad = int(np.sum(vals <= 0))
+            nonpositive = vals <= 0
+            bad = int(np.sum(nonpositive))
             if bad:
                 _add_clamp_events(bad)
-                vals = np.maximum(vals, LOG_CLAMP)
-    out = float(np.sum(f.phi(vals)))
-    return out / len(vals) if f.averaged else out
+                # a spectrum with a nonpositive eigenvalue is raised to LOG_CLAMP whole
+                hit = nonpositive.any(axis=-1, keepdims=True)
+                vals = np.where(hit, np.maximum(vals, LOG_CLAMP), vals)
+    # a sum along the contiguous last axis adds each row as the 1-D sum does
+    out = np.sum(f.phi(vals), axis=-1)
+    if f.averaged:
+        out = out / lam.shape[-1]
+    return float(out) if out.ndim == 0 else out
+
+
+Spectra = Tuple[Optional[np.ndarray], Optional[np.ndarray]]
+
+
+def _needs(functions: Sequence[TestFunction]) -> Tuple[bool, bool]:
+    """Whether some function needs the ring spectrum, and some the covariance one."""
+    ring = [f.name in RING_FUNCTIONS for f in functions]
+    return any(ring), not all(ring)
+
+
+def window_spectra(
+    x,
+    L: int,
+    functions: Sequence[TestFunction],
+    seed: SeedLike,
+    names: Optional[Sequence[str]] = None,
+    policy: str = "error",
+) -> Spectra:
+    """(ring, covariance) eigenvalues of one window, None where no function
+    needs them: the per-window kernel of the sweep and the Monte Carlo
+    oracles.
+
+    x is a raw N x T window, whose rows are standardized here (as
+    standardize does, degenerate rows named by `names`), or a
+    StandardizedMatrix, taken as it is. h = XX^T is formed once; the ring
+    spectrum is that of the row-rescaled product of L copies of sqrt(h) U,
+    square root taken once and U drawn per copy, and the covariance
+    spectrum that of M = h / N, before _covariance_floor, which
+    stacked_taus applies to the stacked spectra. The rows are checked through the diagonal
+    of h. `seed` is the window's SeedSequence, whose child 0 seeds the
+    jitter and child 1 the Haar draws, each made only when a draw needs it;
+    or a Generator, which serves both.
+    """
+    ring, cov = _needs(functions)
+    if isinstance(x, StandardizedMatrix):
+        X = x.values
+    else:
+        X = _standardized(np.asarray(x, dtype=float), policy, lambda: child(seed, 0), names)
+        _check_aspect(*X.shape)
+    N, T = X.shape
+    # numpy forms XX^T of a real X with one triangle mirrored (syrk), and its
+    # products commute anyway, so h equals (h + h^T) / 2 bit for bit
+    h = X @ X.T
+    _check_unit_rows(np.diagonal(h) / T, names)
+    ring_lam = cov_lam = None
+    if ring:
+        root, rng = _hermitian_sqrt(h), as_generator(child(seed, 1))
+        z = _rescaled_product(root @ haar_unitary(N, rng) for _ in range(L))
+        ring_lam = eigen_general(z, N=N, T=T, L=L).eigenvalues
+    if cov:
+        h /= N
+        cov_lam = _eigvalsh(h)
+    return ring_lam, cov_lam
+
+
+# Windows per les call in stacked_taus: the temporaries of a call stay near
+# 0.5 MB a function at N = 118 however many windows a track has.
+STACK_ROWS = 128
+
+
+def stacked_taus(
+    ring: Optional[np.ndarray], cov: Optional[np.ndarray], functions: Sequence[TestFunction]
+) -> Dict[str, np.ndarray]:
+    """tau per window of each function, by name, from the (windows x N)
+    stacks of ring and covariance spectra: one les call per function on
+    each STACK_ROWS windows, the covariance floor applied once to each."""
+    parts: Dict[str, list] = {f.name: [] for f in functions}
+    for lo in range(0, len(ring if cov is None else cov), STACK_ROWS):
+        rows = slice(lo, lo + STACK_ROWS)
+        floored = None if cov is None else _covariance_floor(cov[rows])
+        for f in functions:
+            lam = ring[rows] if f.name in RING_FUNCTIONS else floored
+            parts[f.name].append(les(lam, f))
+    return {name: np.concatenate(taus) for name, taus in parts.items()}
+
+
+def _shared(rows: int, cols: int, dtype) -> np.ndarray:
+    """A zeroed rows x cols array in anonymous shared memory: a worker forked
+    after it is made writes into the caller's copy."""
+    size = max(rows * cols * np.dtype(dtype).itemsize, 1)
+    return np.frombuffer(mmap.mmap(-1, size), dtype=dtype, count=rows * cols).reshape(rows, cols)
+
+
+def map_spectra(
+    spectra_of: Callable[[Any], Spectra], items: Sequence, N: int,
+    functions: Sequence[TestFunction],
+) -> Spectra:
+    """(ring, covariance) spectra of every item, stacked in item order as
+    (items x N) arrays, None where no function needs them.
+
+    _map runs spectra_of; each call writes its rows of the stacks, which
+    live in shared memory, so the spectra reach this process without being
+    pickled or held twice.
+    """
+    items = list(items)
+    need_ring, need_cov = _needs(functions)
+    ring = _shared(len(items), N, complex) if need_ring else None
+    cov = _shared(len(items), N, float) if need_cov else None
+
+    def fill(i: int) -> None:
+        r, c = spectra_of(items[i])
+        if ring is not None:
+            ring[i] = r
+        if cov is not None:
+            cov[i] = c
+
+    _map(fill, range(len(items)))
+    return ring, cov
 
 
 def window_taus(
@@ -141,24 +275,14 @@ def window_taus(
 ) -> Dict[str, float]:
     """tau of each test function, by name, on one standardized window.
 
-    The per-window pipeline the sweep and both Monte Carlo oracles share.
-    MSR is the mean modulus of the spectrum of the L-deep ring product of x,
-    with Haar draws from `seed` (consumed only here); every other function
-    sums phi over the spectrum of M = XX^H/N, clamping log-domain inputs.
+    window_spectra and stacked_taus on that one window. MSR is the mean
+    modulus of the spectrum of the L-deep ring product of x, with Haar draws
+    from `seed` (consumed only here); every other function sums phi over the
+    spectrum of M = XX^H/N, clamping log-domain inputs.
     """
-    ring = [f for f in functions if f.name in RING_FUNCTIONS]
-    cov = [f for f in functions if f.name not in RING_FUNCTIONS]
-    out: Dict[str, float] = {}
-    if ring:
-        rp = ring_product([x] * L, seed)
-        lam = eigen_general(rp.values, N=x.N, T=x.T, L=L)
-        for f in ring:
-            out[f.name] = les(lam, f)
-    if cov:
-        lam = eigen_hermitian(covariance(x, "M"), T=x.T, c=x.c)
-        for f in cov:
-            out[f.name] = les(lam, f)
-    return out
+    stacks = [lam if lam is None else lam[None] for lam in window_spectra(
+        x, L, functions, as_generator(seed))]
+    return {name: float(tau[0]) for name, tau in stacked_taus(*stacks, functions).items()}
 
 
 def lln_expectation(f: TestFunction, d: ReferenceDensity, N: int) -> float:
@@ -258,7 +382,7 @@ def mc_covariance_les(
     """Mean and variance of tau over Gaussian trials on M = XX^H / N.
 
     standardized=False samples the i.i.d. ensemble the fluctuation theorem
-    addresses; standardized=True runs the sweep's kernel, window_taus, on the
+    addresses; standardized=True runs the sweep's kernel (window_taus) on the
     row-standardized window, which shrinks the variance substantially.
     """
     rng = as_generator(seed)
@@ -288,22 +412,21 @@ def mc_ring_msr(
 
     The asymptotic radial moments carry a visible finite-size bias already
     at N ~ 100 (and a larger one for small regional blocks), so detection
-    references calibrate both moments here. Each trial runs window_taus,
-    the sweep's own kernel, on one standardized Gaussian window. Trial i
-    draws from its own seed (seed_base, N, T, L, i), so _map may split the
-    trials over worker processes without changing a bit. Results are
-    cached per parameter tuple.
+    references calibrate both moments here. Each trial runs window_spectra,
+    the sweep's own kernel, on one Gaussian window. Trial i draws from its
+    own seed (seed_base, N, T, L, i), so _map may split the trials over
+    worker processes without changing a bit. Results are cached per
+    parameter tuple.
     """
     key = (N, T, L, reps, seed_base)
     if key in _ring_cache:
         return _ring_cache[key]
 
-    def trial(i: int) -> float:
+    def trial(i: int) -> Spectra:
         rng = as_generator(derived_seed(seed_base, 0xCA11B, N, T, L, i))
-        x = standardize(rng.standard_normal((N, T)))
-        return window_taus(x, L, (MSR,), rng)["MSR"]
+        return window_spectra(rng.standard_normal((N, T)), L, (MSR,), rng)
 
-    vals = np.array(_map(trial, range(reps)))
+    vals = stacked_taus(*map_spectra(trial, range(reps), N, (MSR,)), (MSR,))["MSR"]
     out = (float(vals.mean()), float(vals.var(ddof=1)))
     _ring_cache[key] = out
     return out
@@ -349,17 +472,16 @@ def _worker_count() -> int:
 
 def _run_chunk(fn: Callable[[Any], Any], chunk: Sequence, conn, parent: int) -> None:
     """Body of a worker process: fn over its chunk, then one message on conn,
-    (True, results, clamps) or (False, exception, clamps)."""
-    start = _clamp_events
+    (True, results) or (False, exception)."""
     try:
         out = []
         for x in chunk:
             if os.getppid() != parent:
                 return  # orphaned: nobody is left to read the results
             out.append(fn(x))
-        conn.send((True, out, _clamp_events - start))
+        conn.send((True, out))
     except Exception as e:  # handed to the parent, which raises it
-        conn.send((False, e, _clamp_events - start))
+        conn.send((False, e))
     finally:
         conn.close()
 
@@ -374,8 +496,8 @@ def _map(fn: Callable[[Any], Any], items: Sequence) -> List[Any]:
     first when the call fails. fn must not depend on state the other items
     change: results come back in item order and do not depend on the number
     of workers. An error raised by fn reaches the caller with its type and
-    message; the earliest chunk's error wins, as in the plain loop. Clamps a
-    child counts are added to clamp_event_count().
+    message; the earliest chunk's error wins, as in the plain loop. fn
+    must not count clamps: a child's count stays in the child.
     """
     items = list(items)
     k = min(len(items), _worker_count())
@@ -397,14 +519,13 @@ def _map(fn: Callable[[Any], Any], items: Sequence) -> List[Any]:
         out = [fn(x) for x in chunks[0]]
         for proc, reader in workers:
             try:
-                ok, value, clamps = reader.recv()
+                ok, value = reader.recv()
             except EOFError:
                 proc.join()
                 raise RuntimeError(
                     f"les: worker process {proc.pid} exited with code {proc.exitcode} "
                     "before sending its results"
                 ) from None
-            _add_clamp_events(clamps)
             if not ok:
                 raise value
             out.extend(value)

@@ -96,7 +96,10 @@ def train(
     y = src.values[:, lo:hi].T  # time x nodes
     n_nodes = y.shape[1]
     if not 1 <= m_prime <= n_nodes - 1:
-        raise ParameterError(f"pca: m'={m_prime} must leave at least one non-pilot node")
+        raise ParameterError(
+            f"pca: m' (--m-prime) must satisfy 1 <= m' <= N-1 = {n_nodes - 1}, so that there "
+            f"is a pilot and a non-pilot node; got m'={m_prime}"
+        )
     c = y.T @ y
     w = np.linalg.eigvalsh(c)[::-1]
     if m is None:

@@ -16,7 +16,7 @@ realized row variance to exactly 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -43,6 +43,11 @@ def _unstandardized_rows(v: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~((np.abs(mu) <= 1e-10) & (np.abs(var - 1.0) <= 1e-8)))
 
 
+def _check_aspect(n: int, t: int) -> None:
+    if n > t:
+        raise AspectRatioError(f"rmm: {n} rows exceed {t} columns; need c = N/T <= 1")
+
+
 @dataclass(frozen=True)
 class StandardizedMatrix:
     """Row-wise zero-mean unit-variance matrix with aspect ratio c = N/T."""
@@ -52,9 +57,7 @@ class StandardizedMatrix:
     def __post_init__(self):
         v = np.asarray(self.values)
         object.__setattr__(self, "values", v)
-        n, t = v.shape
-        if n > t:
-            raise AspectRatioError(f"rmm: {n} rows exceed {t} columns; need c = N/T <= 1")
+        _check_aspect(*v.shape)
         if _unstandardized_rows(v).size:
             raise ShapeError("rmm: rows are not standardized to mean 0, variance 1")
 
@@ -101,9 +104,61 @@ def _as_array(w: MatrixLike) -> np.ndarray:
     return np.asarray(w.values if isinstance(w, RawWindow) else w, dtype=float)
 
 
-def _row_names(w: MatrixLike, rows: np.ndarray) -> list:
-    """Node ids of the given rows, or the row indices for a bare array."""
-    return [w.node_ids[i] for i in rows] if isinstance(w, RawWindow) else list(rows)
+def _labels(names, rows: np.ndarray) -> list:
+    """Node ids of the given rows, or the row indices without names."""
+    return list(rows) if names is None else [names[i] for i in rows]
+
+
+def _moments(X: np.ndarray):
+    """Row mean, X - mean and row std, bit for bit what np.mean and np.std
+    give, with the one subtraction np.std makes reused."""
+    mu = X.sum(axis=1, keepdims=True) / X.shape[1]
+    d = X - mu
+    return mu, d, np.sqrt((d * d).sum(axis=1, keepdims=True) / X.shape[1])
+
+
+def _standardized(X: np.ndarray, policy: str, jitter_seed: Callable[[], SeedLike], names=None):
+    """The rows of standardize(X) as a new array, before any check of them.
+
+    jitter_seed is called only when policy="jitter" has a row to jitter.
+    """
+    if policy not in DEGENERATE_POLICIES:
+        raise ParameterError(f"rmm: unknown degenerate-row policy {policy!r}")
+    # a row whose sums or squares overflow turns inf or NaN and fails the caller's check
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu, d, sd = _moments(X)
+        flat = np.flatnonzero(sd.ravel() == 0.0)
+        if flat.size:
+            if policy == "error":
+                raise DegenerateRowError(f"rmm: zero-variance rows: {_labels(names, flat)}")
+            noise = as_generator(jitter_seed()).normal(0.0, 1.0, size=(flat.size, X.shape[1]))
+            X = X.copy()  # the caller's array stays untouched
+            X[flat] += JITTER_SCALE * (1.0 + np.abs(mu[flat])) * noise
+            _, d, sd = _moments(X)
+        np.divide(d, sd, out=d)
+        # second centering pass flushes the O(mean * eps) cancellation residue
+        d -= d.sum(axis=1, keepdims=True) / X.shape[1]
+    return d
+
+
+def _precision_error(names, rows: np.ndarray) -> DegenerateRowError:
+    return DegenerateRowError(
+        f"rmm: rows {_labels(names, rows)} cannot be standardized in float64: their spread "
+        "is below what float64 resolves at their magnitude, or their sums or squares overflow"
+    )
+
+
+def _check_unit_rows(gram_diagonal: np.ndarray, names=None) -> None:
+    """The row check of StandardizedMatrix, read off the diagonal of XX^T
+    of a standardized X, divided by T, instead of a scan of X.
+
+    After the second centering pass a finite row's mean is within a few
+    ulps of 0, so the diagonal over T is the row variance up to rounding and
+    only a non-finite or non-unit one fails. NaN fails too.
+    """
+    bad = ~(np.abs(gram_diagonal - 1.0) <= 1e-8)
+    if bad.any():
+        raise _precision_error(names, np.flatnonzero(bad))
 
 
 def standardize(
@@ -121,34 +176,12 @@ def standardize(
     values whose sums or squares overflow) raises DegenerateRowError by
     node id.
     """
-    if policy not in DEGENERATE_POLICIES:
-        raise ParameterError(f"rmm: unknown degenerate-row policy {policy!r}")
-    X = _as_array(w)
-    # a row whose sums or squares overflow turns inf or NaN and fails the check below
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu = X.mean(axis=1, keepdims=True)
-        sd = X.std(axis=1, keepdims=True)
-        flat = np.flatnonzero(sd.ravel() == 0.0)
-        if flat.size:
-            if policy == "error":
-                raise DegenerateRowError(f"rmm: zero-variance rows: {_row_names(w, flat)}")
-            rng = as_generator(seed)
-            noise = rng.normal(0.0, 1.0, size=(flat.size, X.shape[1]))
-            X = X.copy()  # the caller's array stays untouched
-            X[flat] += JITTER_SCALE * (1.0 + np.abs(mu[flat])) * noise
-            mu = X.mean(axis=1, keepdims=True)
-            sd = X.std(axis=1, keepdims=True)
-        out = (X - mu) / sd
-        # second centering pass flushes the O(mean * eps) cancellation residue
-        out -= out.mean(axis=1, keepdims=True)
+    names = w.node_ids if isinstance(w, RawWindow) else None
+    out = _standardized(_as_array(w), policy, lambda: seed, names)
     try:
         return StandardizedMatrix(out)
     except ShapeError:
-        bad = _row_names(w, _unstandardized_rows(out))
-        raise DegenerateRowError(
-            f"rmm: rows {bad} cannot be standardized in float64: their spread is below "
-            "what float64 resolves at their magnitude, or their sums or squares overflow"
-        ) from None
+        raise _precision_error(names, _unstandardized_rows(out)) from None
 
 
 def haar_unitary(n: int, seed: SeedLike) -> np.ndarray:
@@ -168,9 +201,15 @@ def haar_unitary(n: int, seed: SeedLike) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def _symmetric_gram(X: np.ndarray) -> np.ndarray:
+    """(h + h^H) / 2 for h = XX^H."""
+    h = X @ X.conj().T
+    return (h + h.conj().T) / 2.0
+
+
 def _hermitian_sqrt(h: np.ndarray) -> np.ndarray:
-    """PSD square root by eigendecomposition, clamping roundoff negatives."""
-    h = (h + h.conj().T) / 2.0
+    """PSD square root of a Hermitian matrix by eigendecomposition,
+    clamping roundoff negatives."""
     w, v = np.linalg.eigh(h)
     clamp = 1e-12 * max(w[-1], 0.0)
     w = np.where(w < clamp, 0.0, w)
@@ -182,8 +221,19 @@ def singular_value_equivalent(
 ) -> np.ndarray:
     """The square matrix sqrt(XX^H) U sharing X's singular values, U Haar."""
     X = x.values if isinstance(x, StandardizedMatrix) else np.asarray(x)
-    h = X @ X.conj().T
-    return _hermitian_sqrt(h) @ haar_unitary(X.shape[0], seed)
+    return _hermitian_sqrt(_symmetric_gram(X)) @ haar_unitary(X.shape[0], seed)
+
+
+def _rescaled_product(factors) -> np.ndarray:
+    """Row-rescaled product of the factors, taken in order."""
+    z = None
+    for xu in factors:
+        z = xu if z is None else z @ xu
+    mu = z.mean(axis=1, keepdims=True)
+    sd = np.sqrt((np.abs(z - mu) ** 2).mean(axis=1, keepdims=True))
+    if (sd == 0).any():
+        raise DegenerateRowError("rmm: ring product produced a constant row")
+    return z / (np.sqrt(z.shape[0]) * sd)
 
 
 def ring_product(windows: Sequence[StandardizedMatrix], seed: SeedLike) -> RingProduct:
@@ -203,15 +253,8 @@ def ring_product(windows: Sequence[StandardizedMatrix], seed: SeedLike) -> RingP
         if wdw.N != n:
             raise ShapeError(f"rmm: window row counts differ: {wdw.N} vs {n}")
     rng = as_generator(seed)
-    z = None
-    for wdw in windows:
-        xu = singular_value_equivalent(wdw, rng)
-        z = xu if z is None else z @ xu
-    mu = z.mean(axis=1, keepdims=True)
-    sd = np.sqrt((np.abs(z - mu) ** 2).mean(axis=1, keepdims=True))
-    if (sd == 0).any():
-        raise DegenerateRowError("rmm: ring product produced a constant row")
-    return RingProduct(z / (np.sqrt(n) * sd), L=len(windows))
+    z = _rescaled_product(singular_value_equivalent(wdw, rng) for wdw in windows)
+    return RingProduct(z, L=len(windows))
 
 
 def covariance(x: StandardizedMatrix, convention: str = "M") -> CovarianceMatrix:
@@ -221,9 +264,7 @@ def covariance(x: StandardizedMatrix, convention: str = "M") -> CovarianceMatrix
     """
     if convention != "M":
         raise ParameterError(f"rmm: unknown covariance convention {convention!r}; only 'M'")
-    X = x.values
-    h = X @ X.conj().T
-    h = (h + h.conj().T) / 2.0
+    h = _symmetric_gram(x.values)
     h /= x.N
     return CovarianceMatrix(h)
 

@@ -29,6 +29,17 @@ def window_seed(base_seed: int, end_index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([int(base_seed), int(end_index)])
 
 
+def child(seed: SeedLike, i: int) -> SeedLike:
+    """Child i of a SeedSequence that has spawned none yet, the same stream
+    seed.spawn(i + 1)[i] gives, made without spawning the others; any other
+    seed is returned as it is."""
+    if isinstance(seed, np.random.SeedSequence):
+        return np.random.SeedSequence(
+            seed.entropy, spawn_key=seed.spawn_key + (i,), pool_size=seed.pool_size
+        )
+    return seed
+
+
 def derived_seed(*parts: int) -> np.random.SeedSequence:
     """Derive a named seed stream from integer components."""
     return np.random.SeedSequence([int(p) for p in parts])

@@ -79,6 +79,27 @@ def eigen_general(
     return SpectrumSet(lam, "ring", N=N if N is not None else a.shape[0], T=T, L=L)
 
 
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as e:
+        raise NumericalFailureError(f"spectral: Hermitian eigensolver failed: {e}") from None
+
+
+def _covariance_floor(lam: np.ndarray) -> np.ndarray:
+    """Ascending covariance spectra (one per row of a stack) with roundoff
+    negatives (>= -1e-10 * max) clamped to zero; anything more negative is
+    a genuine invariant violation, reported for the first such spectrum."""
+    low = lam[..., 0]
+    bad = np.flatnonzero(low < -1e-10 * np.maximum(lam[..., -1], 0.0))
+    if bad.size:
+        raise InvariantViolationError(
+            "spectral: covariance matrix is indefinite "
+            f"(min eigenvalue {np.ravel(low)[bad[0]]:.3e})"
+        )
+    return np.clip(lam, 0.0, None)
+
+
 def eigen_hermitian(
     m: Union[CovarianceMatrix, np.ndarray],
     kind: str = "covariance",
@@ -92,18 +113,9 @@ def eigen_hermitian(
     violation.
     """
     a = m.values if isinstance(m, CovarianceMatrix) else np.asarray(m)
-    try:
-        lam = np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as e:
-        raise NumericalFailureError(f"spectral: Hermitian eigensolver failed: {e}") from None
+    lam = _eigvalsh(a)
     if kind == "covariance":
-        top = max(float(lam[-1]), 0.0)
-        floor = -1e-10 * top
-        if lam[0] < floor:
-            raise InvariantViolationError(
-                f"spectral: covariance matrix is indefinite (min eigenvalue {lam[0]:.3e})"
-            )
-        lam = np.clip(lam, 0.0, None)
+        lam = _covariance_floor(lam)
     return SpectrumSet(lam, kind, N=a.shape[0], T=T, c=c)
 
 

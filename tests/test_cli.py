@@ -104,6 +104,40 @@ def test_theory_needs_fewer_nodes_than_samples(capsys):
     assert sorted(_theory_table(out)) == ["DET", "LRF", "MSR", "T2", "T3", "T4"]
 
 
+@pytest.mark.parametrize("command", ["theory", "analyze"])
+def test_kappa4_below_minus_two_is_an_input_error(small_run, tmp_path, capsys, command):
+    # no distribution has excess kurtosis below -2; theory printed negative
+    # variances for it, analyze failed with a reference-moment error
+    _, data, _ = small_run
+    out = tmp_path / "out"
+    argv = {
+        "analyze": ["--input", str(data), "--T", "60", "--functions", "T2", "--out", str(out)],
+        "theory": ["--N", "118", "--T", "240"],
+    }[command]
+    code, stdout, err = run_cli(capsys, command, *argv, "--kappa4", "-5")
+    assert code == 1 and stdout == ""
+    assert "ParameterError" in err and "--kappa4" in err and ">= -2" in err and "-5" in err
+    assert not out.exists()
+
+
+def test_kappa4_of_minus_two_is_accepted(capsys):
+    code, out, _ = run_cli(capsys, "theory", "--N", "118", "--T", "240", "--kappa4", "-2")
+    assert code == 0
+    assert all(d >= 0 and np.isfinite(cv) for _, d, cv in _theory_table(out).values())
+
+
+@pytest.mark.parametrize("m_prime", ["0", "18"])
+def test_m_prime_outside_its_range_names_the_flag_and_range(small_run, tmp_path, capsys, m_prime):
+    _, data, _ = small_run  # 18 nodes
+    code, _, err = run_cli(
+        capsys, "pca-baseline", "--input", str(data), "--train", "0:100",
+        "--m-prime", m_prime, "--out", str(tmp_path / "pca"),
+    )
+    assert code == 1
+    assert "ParameterError" in err and "--m-prime" in err
+    assert "1 <= m' <= N-1 = 17" in err and f"got m'={m_prime}" in err
+
+
 def test_simulate_preset_writes_outputs(capsys, tmp_path):
     out = tmp_path / "data.csv"
     code, msg, _ = run_cli(

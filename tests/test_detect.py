@@ -197,6 +197,12 @@ def test_mc_reps_below_two_is_rejected():
             small_cfg(mc_reps=reps)
 
 
+def test_kappa4_below_minus_two_is_rejected():
+    with pytest.raises(ParameterError, match=r"kappa4 \(--kappa4\) must be finite and >= -2"):
+        small_cfg(kappa4=-2.5)
+    assert small_cfg(kappa4=-2.0).kappa4 == -2.0
+
+
 def test_pure_noise_flag_fraction_small():
     src = sample_gaussian_matrix(24, 500, seed=77)
     cfg = small_cfg()
@@ -312,9 +318,11 @@ def test_non_finite_reference_moment_names_block_and_function(monkeypatch):
     part = RegionPartition({"P": src.node_ids[:5], "Q": src.node_ids[5:]})
     with pytest.raises(NumericalFailureError, match=r"block 'Q', function MSR"):
         regional_series(src, small_cfg(regions=part, mc_reps=20))
-    # a large negative kappa4 drives the T2 fluctuation variance below zero
-    with pytest.raises(NumericalFailureError, match=r"block 'ALL', function T2.*D=-"):
-        sweep(src, small_cfg(functions=("T2",), kappa4=-1e6))
+    # a negative fluctuation variance; kappa4 < -2, which once produced one,
+    # is now rejected with the config
+    monkeypatch.setattr(detect_module, "clt_variance", lambda f, c, kappa4: -0.5)
+    with pytest.raises(NumericalFailureError, match=r"block 'ALL', function T2.*D=-0.5"):
+        sweep(src, small_cfg(functions=("T2",)))
 
 
 def test_calibration_mode_requires_range():

@@ -173,6 +173,14 @@ def test_clt_variance_nonnegative(f):
     assert clt_variance(f, 0.5, kappa4=1.3) >= 0.0
 
 
+@pytest.mark.parametrize("kappa4", [-2.0, -1.0, 0.0])
+@pytest.mark.parametrize("c", [0.05, 0.49, 0.9, 1.0])
+def test_clt_variance_nonnegative_down_to_the_least_kurtosis(kappa4, c):
+    # the detector rejects kappa4 < -2, the least excess kurtosis there is
+    for f in (T2, T3, T4) if c == 1.0 else (T2, T3, T4, DET, LRF):
+        assert clt_variance(f, c, kappa4=kappa4) >= 0.0
+
+
 def test_clt_variance_rejects_averaged_function():
     with pytest.raises(ContractError):
         clt_variance(MSR, 0.5)

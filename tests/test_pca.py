@@ -136,3 +136,13 @@ def test_parameter_validation():
     model = train(src, (0, 400), m_prime=3)
     with pytest.raises(ParameterError):
         residual_series(model, src, (590, 700))
+
+
+def test_m_prime_range_ends():
+    src = DataSource(np.random.default_rng(3).standard_normal((6, 50)), tuple("abcdef"),
+                     tuple(range(50)))
+    for m_prime in (0, 6):
+        with pytest.raises(ParameterError, match=rf"--m-prime\) must satisfy 1 <= m' <= N-1 = 5, .*got m'={m_prime}$"):
+            train(src, (0, 40), m_prime=m_prime)
+    for m_prime in (1, 5):
+        assert len(train(src, (0, 40), m_prime=m_prime, m=5).nonpilot_ids) == 6 - m_prime
