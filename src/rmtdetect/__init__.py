@@ -16,7 +16,6 @@ from .detect import (
 )
 from .ingest import (
     DataSource,
-    RawWindow,
     RegionPartition,
     WindowSpec,
     load_csv,
@@ -31,7 +30,6 @@ from .les import (
     mc_covariance_les,
     mc_ring_msr,
     msr_moments,
-    window_taus,
 )
 from .mapgen import MapFrame, frame, render_run
 from .pca import PilotModel, residual_series, train

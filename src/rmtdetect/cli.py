@@ -158,23 +158,46 @@ def _checked_defaults(cfg: dict, actions: dict) -> dict:
     out = {}
     for key, value in cfg.items():
         dest = key.replace("-", "_")
-        if dest not in actions:
+        if dest not in actions or actions[dest].nargs == 0:  # --help takes no value
             raise ConfigurationError(f"cli: config key {key!r} matches no flag")
+        out[dest] = _flag_value(key, value, actions[dest])
         actions[dest].required = False  # a config-supplied value satisfies the flag
-        out[dest] = value
+    return out
+
+
+def _flag_value(key: str, value, action: argparse.Action):
+    """A config value as its flag parses it: the flag's type conversion and
+    choices applied to the text the value would have on the command line.
+    argparse converts only string defaults, so nothing else checks it."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ConfigurationError(
+            f"cli: config key {key!r} needs a string or a number, got {json.dumps(value)}"
+        )
+    text = value if isinstance(value, str) else repr(value)
+    try:
+        out = text if action.type is None else action.type(text)
+    except ValueError:
+        raise ConfigurationError(
+            f"cli: config key {key!r} needs {action.type.__name__} text, got {value!r}"
+        ) from None
+    if action.choices is not None and out not in action.choices:
+        raise ConfigurationError(
+            f"cli: config key {key!r} must be one of {list(action.choices)}, got {out!r}"
+        )
     return out
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(ENV_SEED)
-    if env is not None:
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get(ENV_SEED)
         try:
-            return int(env)
+            seed = 0 if env is None else int(env)
         except ValueError:
             raise ConfigurationError(f"cli: ${ENV_SEED} must be an integer, got {env!r}") from None
-    return 0
+    if seed < 0:  # numpy seeds take nonnegative entropy only
+        raise ParameterError(f"cli: the seed (--seed or ${ENV_SEED}) must be >= 0, got {seed}")
+    return seed
 
 
 def _write_run_json(directory: Path, command: str, args, seed: int) -> None:

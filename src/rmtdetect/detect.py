@@ -55,6 +55,7 @@ from .les import (
     stacked_taus,
     window_spectra,
 )
+from .rmm import DEGENERATE_POLICIES
 # ring_product is imported but unused: the benchmark's tracer tests look the
 # name up in this namespace.
 from .rmm import ring_product  # noqa: F401
@@ -105,6 +106,11 @@ class DetectorConfig:
         if self.mc_reps < 2:
             raise ParameterError(
                 f"detect: mc_reps must be >= 2 for a Monte Carlo variance, got {self.mc_reps}"
+            )
+        if self.degenerate_policy not in DEGENERATE_POLICIES:
+            raise ParameterError(
+                f"detect: degenerate-row policy (--degenerate) must be one of "
+                f"{list(DEGENERATE_POLICIES)}, got {self.degenerate_policy!r}"
             )
 
 

@@ -132,29 +132,6 @@ class WindowSpec:
             raise ParameterError(f"ingest: product depth must be >= 1, got {self.L}")
 
 
-@dataclass(frozen=True)
-class RawWindow:
-    """An N x T slice of a data source ending at a specific sample index."""
-
-    values: np.ndarray
-    node_ids: Tuple[str, ...]
-    timestamps: Tuple[int, ...]
-    end_index: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _readonly(np.asarray(self.values, dtype=float)))
-        object.__setattr__(self, "node_ids", tuple(self.node_ids))
-        object.__setattr__(self, "timestamps", tuple(self.timestamps))
-
-    @property
-    def N(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def T(self) -> int:
-        return self.values.shape[1]
-
-
 def _parse_cell(text: str) -> float:
     """A cell is missing if blank or non-finite; otherwise a float."""
     s = text.strip()

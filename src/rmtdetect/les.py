@@ -36,7 +36,7 @@ import multiprocessing
 import os
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .errors import ContractError, DivergenceError, NumericalFailureError, Param
 # ring_product is imported but unused: the benchmark's tracer tests look the
 # name up in this namespace.
 from .rmm import (  # noqa: F401
-    StandardizedMatrix,
     _check_aspect,
     _check_unit_rows,
     _hermitian_sqrt,
@@ -52,7 +51,6 @@ from .rmm import (  # noqa: F401
     _standardized,
     haar_unitary,
     ring_product,
-    standardize,
 )
 from .rng import SeedLike, as_generator, child, derived_seed
 from .spectral import (
@@ -133,10 +131,10 @@ def les(spectrum, f: TestFunction):
     when f is averaged (MSR).
 
     On a stack of spectra, one per row, it returns one tau per row, each
-    the same bits as a call on that row alone. Log-domain functions raise
-    every eigenvalue of a spectrum that has a nonpositive one to at least
-    LOG_CLAMP and add the number of nonpositive ones to the counter behind
-    clamp_event_count().
+    the same bits as a call on that row alone. Log-domain functions floor
+    every eigenvalue at LOG_CLAMP, so a rank-deficient window's tau does not
+    hang on the sign its near-zero eigenvalues round to, and add the number
+    of nonpositive ones to the counter behind clamp_event_count().
     """
     lam = np.asarray(getattr(spectrum, "eigenvalues", spectrum))
     if f.domain == "modulus":
@@ -144,13 +142,10 @@ def les(spectrum, f: TestFunction):
     else:
         vals = lam.real.astype(float)
         if f.domain == "positive":
-            nonpositive = vals <= 0
-            bad = int(np.sum(nonpositive))
+            bad = int(np.count_nonzero(vals <= 0))
             if bad:
                 _add_clamp_events(bad)
-                # a spectrum with a nonpositive eigenvalue is raised to LOG_CLAMP whole
-                hit = nonpositive.any(axis=-1, keepdims=True)
-                vals = np.where(hit, np.maximum(vals, LOG_CLAMP), vals)
+            vals = np.maximum(vals, LOG_CLAMP)
     # a sum along the contiguous last axis adds each row as the 1-D sum does
     out = np.sum(f.phi(vals), axis=-1)
     if f.averaged:
@@ -179,23 +174,19 @@ def window_spectra(
     needs them: the per-window kernel of the sweep and the Monte Carlo
     oracles.
 
-    x is a raw N x T window, whose rows are standardized here (as
-    standardize does, degenerate rows named by `names`), or a
-    StandardizedMatrix, taken as it is. h = XX^T is formed once; the ring
-    spectrum is that of the row-rescaled product of L copies of sqrt(h) U,
-    square root taken once and U drawn per copy, and the covariance
-    spectrum that of M = h / N, before _covariance_floor, which
-    stacked_taus applies to the stacked spectra. The rows are checked through the diagonal
-    of h. `seed` is the window's SeedSequence, whose child 0 seeds the
-    jitter and child 1 the Haar draws, each made only when a draw needs it;
-    or a Generator, which serves both.
+    x is a raw N x T window, whose rows are standardized here as standardize
+    does, degenerate rows named by `names` (by row index without names).
+    h = XX^T is formed once; the ring spectrum is that of the row-rescaled
+    product of L copies of sqrt(h) U, square root taken once and U drawn per
+    copy, and the covariance spectrum that of M = h / N, before
+    _covariance_floor, which stacked_taus applies to the stacked spectra.
+    The rows are checked through the diagonal of h. `seed` is the window's
+    SeedSequence, whose child 0 seeds the jitter and child 1 the Haar draws,
+    each made only when a draw needs it; or a Generator, which serves both.
     """
     ring, cov = _needs(functions)
-    if isinstance(x, StandardizedMatrix):
-        X = x.values
-    else:
-        X = _standardized(np.asarray(x, dtype=float), policy, lambda: child(seed, 0), names)
-        _check_aspect(*X.shape)
+    X = _standardized(np.asarray(x, dtype=float), policy, lambda: child(seed, 0), names)
+    _check_aspect(*X.shape)
     N, T = X.shape
     # numpy forms XX^T of a real X with one triangle mirrored (syrk), and its
     # products commute anyway, so h equals (h + h^T) / 2 bit for bit
@@ -265,24 +256,6 @@ def map_spectra(
 
     _map(fill, range(len(items)))
     return ring, cov
-
-
-def window_taus(
-    x: StandardizedMatrix,
-    L: int,
-    functions: Sequence[TestFunction],
-    seed: SeedLike,
-) -> Dict[str, float]:
-    """tau of each test function, by name, on one standardized window.
-
-    window_spectra and stacked_taus on that one window. MSR is the mean
-    modulus of the spectrum of the L-deep ring product of x, with Haar draws
-    from `seed` (consumed only here); every other function sums phi over the
-    spectrum of M = XX^H/N, clamping log-domain inputs.
-    """
-    stacks = [lam if lam is None else lam[None] for lam in window_spectra(
-        x, L, functions, as_generator(seed))]
-    return {name: float(tau[0]) for name, tau in stacked_taus(*stacks, functions).items()}
 
 
 def lln_expectation(f: TestFunction, d: ReferenceDensity, N: int) -> float:
@@ -382,15 +355,17 @@ def mc_covariance_les(
     """Mean and variance of tau over Gaussian trials on M = XX^H / N.
 
     standardized=False samples the i.i.d. ensemble the fluctuation theorem
-    addresses; standardized=True runs the sweep's kernel (window_taus) on the
-    row-standardized window, which shrinks the variance substantially.
+    addresses; standardized=True runs the sweep's kernel (window_spectra and
+    stacked_taus) on the raw window, whose rows it standardizes, which shrinks
+    the variance substantially.
     """
     rng = as_generator(seed)
     taus = np.empty(reps)
     for i in range(reps):
         x = rng.standard_normal((N, T))
         if standardized:
-            taus[i] = window_taus(standardize(x), 1, (f,), rng)[f.name]
+            _, lam = window_spectra(x, 1, (f,), rng)
+            taus[i] = stacked_taus(None, lam[None], (f,))[f.name][0]
         else:
             h = x @ x.T
             lam = np.linalg.eigvalsh((h + h.T) / 2.0 / N)
@@ -470,39 +445,42 @@ def _worker_count() -> int:
     return max(1, cpus // _blas_threads(cpus))
 
 
-def _run_chunk(fn: Callable[[Any], Any], chunk: Sequence, conn, parent: int) -> None:
+def _run_chunk(fn: Callable[[Any], None], chunk: Sequence, conn, parent: int) -> None:
     """Body of a worker process: fn over its chunk, then one message on conn,
-    (True, results) or (False, exception)."""
+    None once every call has returned, or the exception one raised."""
     try:
-        out = []
         for x in chunk:
             if os.getppid() != parent:
-                return  # orphaned: nobody is left to read the results
-            out.append(fn(x))
-        conn.send((True, out))
+                return  # orphaned: nobody is left to read the message
+            fn(x)
+        conn.send(None)
     except Exception as e:  # handed to the parent, which raises it
-        conn.send((False, e))
+        conn.send(e)
     finally:
         conn.close()
 
 
-def _map(fn: Callable[[Any], Any], items: Sequence) -> List[Any]:
-    """[fn(x) for x in items], split over forked one-shot worker processes.
+def _map(fn: Callable[[Any], None], items: Sequence) -> None:
+    """fn(x) for every x in items, for its effect only, split over forked
+    one-shot worker processes.
 
     items is cut into _worker_count() contiguous chunks. The first runs in
     this process; each other chunk runs in a child forked from it, which
-    inherits fn and its chunk, sends its results back through a one-way pipe
-    and exits. Every child is joined before _map returns, and terminated
-    first when the call fails. fn must not depend on state the other items
-    change: results come back in item order and do not depend on the number
-    of workers. An error raised by fn reaches the caller with its type and
-    message; the earliest chunk's error wins, as in the plain loop. fn
-    must not count clamps: a child's count stays in the child.
+    inherits fn and its chunk, sends back through a one-way pipe only
+    whether fn raised, and exits, so fn's effect must reach this process
+    through shared memory (map_spectra's stacks). Every child is joined
+    before _map returns, and terminated first when the call fails. fn must
+    not depend on state the other items change: the effect does not depend
+    on the number of workers. An error raised by fn reaches the caller with
+    its type and message; the earliest chunk's error wins, as in the plain
+    loop. fn must not count clamps: a child's count stays in the child.
     """
     items = list(items)
     k = min(len(items), _worker_count())
     if k <= 1:
-        return [fn(x) for x in items]
+        for x in items:
+            fn(x)
+        return
     bounds = [len(items) * j // k for j in range(k + 1)]
     chunks = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     ctx = multiprocessing.get_context("fork")
@@ -516,21 +494,20 @@ def _map(fn: Callable[[Any], Any], items: Sequence) -> List[Any]:
             proc.start()
             writer.close()
             workers.append((proc, reader))
-        out = [fn(x) for x in chunks[0]]
+        for x in chunks[0]:
+            fn(x)
         for proc, reader in workers:
             try:
-                ok, value = reader.recv()
+                error = reader.recv()
             except EOFError:
                 proc.join()
                 raise RuntimeError(
                     f"les: worker process {proc.pid} exited with code {proc.exitcode} "
-                    "before sending its results"
+                    "before reporting"
                 ) from None
-            if not ok:
-                raise value
-            out.extend(value)
+            if error is not None:
+                raise error
         done = True
-        return out
     finally:
         for proc, reader in workers:
             reader.close()

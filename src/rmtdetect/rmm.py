@@ -26,7 +26,6 @@ from .errors import (
     ParameterError,
     ShapeError,
 )
-from .ingest import RawWindow
 from .rng import SeedLike, as_generator
 
 DEGENERATE_POLICIES = ("error", "jitter")
@@ -97,16 +96,9 @@ class CovarianceMatrix:
             raise ShapeError("rmm: covariance matrix is not Hermitian")
 
 
-MatrixLike = Union[np.ndarray, RawWindow]
-
-
-def _as_array(w: MatrixLike) -> np.ndarray:
-    return np.asarray(w.values if isinstance(w, RawWindow) else w, dtype=float)
-
-
 def _labels(names, rows: np.ndarray) -> list:
-    """Node ids of the given rows, or the row indices without names."""
-    return list(rows) if names is None else [names[i] for i in rows]
+    """Node ids of the given rows, or the row indices (plain ints) without names."""
+    return rows.tolist() if names is None else [names[i] for i in rows]
 
 
 def _moments(X: np.ndarray):
@@ -162,7 +154,7 @@ def _check_unit_rows(gram_diagonal: np.ndarray, names=None) -> None:
 
 
 def standardize(
-    w: MatrixLike,
+    x: np.ndarray,
     policy: str = "error",
     seed: SeedLike = None,
 ) -> StandardizedMatrix:
@@ -173,15 +165,14 @@ def standardize(
     raises under policy="error"; policy="jitter" adds seeded Gaussian noise
     of std JITTER_SCALE * (1 + |mean|) and standardizes the result. A row
     float64 cannot standardize (a spread near eps times its offset, or
-    values whose sums or squares overflow) raises DegenerateRowError by
-    node id.
+    values whose sums or squares overflow) raises DegenerateRowError; both
+    errors name the rows by index. The sweep's kernel names them by node id.
     """
-    names = w.node_ids if isinstance(w, RawWindow) else None
-    out = _standardized(_as_array(w), policy, lambda: seed, names)
+    out = _standardized(np.asarray(x, dtype=float), policy, lambda: seed)
     try:
         return StandardizedMatrix(out)
     except ShapeError:
-        raise _precision_error(names, _unstandardized_rows(out)) from None
+        raise _precision_error(None, _unstandardized_rows(out)) from None
 
 
 def haar_unitary(n: int, seed: SeedLike) -> np.ndarray:

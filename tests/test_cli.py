@@ -337,6 +337,76 @@ def test_config_key_matching_no_flag_is_named(command, key):
     assert f"config key {key!r} matches no flag" in err.getvalue()
 
 
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ({"T": 30.5}, "config key 'T' needs int text, got 30.5"),
+        ({"T": True}, "config key 'T' needs a string or a number, got true"),
+        ({"T": 40, "k": None}, "config key 'k' needs a string or a number, got null"),
+        ({"T": 40, "mc_reps": 2.5}, "config key 'mc_reps' needs int text, got 2.5"),
+        ({"T": 40, "degenerate": "bogus"}, "config key 'degenerate' must be one of"),
+        ({"T": 40, "functions": 5}, "unknown test function '5'"),
+        ({"T": 40, "help": "x"}, "config key 'help' matches no flag"),
+    ],
+)
+def test_config_value_its_flag_cannot_parse_is_an_input_error(small_run, tmp_path, capsys,
+                                                              entries, message):
+    _, data, _ = small_run
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(entries))
+    code, _, err = run_cli(capsys, "analyze", "--config", str(cfg), "--input", str(data),
+                           "--out", str(tmp_path / "r"))
+    assert code == 1
+    assert err.startswith("error [") and message in err
+
+
+def test_config_values_are_typed_like_their_flags(small_run, tmp_path, capsys):
+    _, data, _ = small_run
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"T": "40", "k": 3, "functions": "T2", "seed": "5"}))
+    code, _, _ = run_cli(capsys, "analyze", "--config", str(cfg), "--input", str(data),
+                         "--out", str(tmp_path / "r"))
+    assert code == 0
+    params = json.loads((tmp_path / "r" / "run.json").read_text())["params"]
+    assert (params["T"], params["k"], params["seed"]) == (40, 3.0, 5)
+    assert isinstance(params["k"], float)
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-3, 90), st.floats(),
+    st.text(max_size=6), st.integers(-3, 90).map(str),
+)
+_TYPED_FLAGS = [
+    (command, dest)
+    for command in ("analyze", "theory")
+    for dest, action in sorted(_COMMANDS[command].flags.items())
+    if action.type is not None or action.choices is not None
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(flag=st.sampled_from(_TYPED_FLAGS), value=_JSON_SCALARS)
+def test_any_json_scalar_for_a_typed_flag_ends_in_a_result_or_a_typed_error(
+    small_run, flag, value
+):
+    # T2 alone keeps a run short whatever --L and --mc-reps say; a value that
+    # overflows the reference moments (kappa4 near 1e308) is a numerical
+    # failure, exit 2
+    command, dest = flag
+    base = {"analyze": {"T": 40, "functions": "T2"}, "theory": {"N": 10, "T": 40}}[command]
+    _, data, _ = small_run
+    with tempfile.TemporaryDirectory() as d:
+        cfg = Path(d) / "cfg.json"
+        cfg.write_text(json.dumps({**base, dest: value}))
+        argv = [command, "--config", str(cfg)]
+        if command == "analyze":
+            argv += ["--input", str(data), "--out", str(Path(d) / "r")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    assert code == 0 or (code in (1, 2) and "error [" in err.getvalue()), err.getvalue()
+
+
 def test_env_seed_fallback(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("RMT_EED_SEED", "31")
     out = tmp_path / "d.csv"
@@ -345,6 +415,16 @@ def test_env_seed_fallback(tmp_path, monkeypatch, capsys):
     )
     assert code == 0
     assert json.loads((tmp_path / "run.json").read_text())["params"]["seed"] == 31
+
+
+def test_negative_seed_is_an_input_error(tmp_path, monkeypatch, capsys):
+    argv = ["simulate", "--preset", "table3", "--n", "8", "--t", "40", "--out",
+            str(tmp_path / "d.csv")]
+    code, _, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert code == 1 and "seed (--seed or $RMT_EED_SEED) must be >= 0, got -1" in err
+    monkeypatch.setenv("RMT_EED_SEED", "-2")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1 and "got -2" in err
 
 
 def test_bad_reference_argument(small_run, tmp_path, capsys):

@@ -203,6 +203,12 @@ def test_kappa4_below_minus_two_is_rejected():
     assert small_cfg(kappa4=-2.0).kappa4 == -2.0
 
 
+def test_unknown_degenerate_policy_names_the_flag():
+    with pytest.raises(ParameterError, match=r"\(--degenerate\) must be one of "
+                       r"\['error', 'jitter'\], got 'bogus'"):
+        small_cfg(degenerate_policy="bogus")
+
+
 def test_pure_noise_flag_fraction_small():
     src = sample_gaussian_matrix(24, 500, seed=77)
     cfg = small_cfg()

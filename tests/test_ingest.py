@@ -13,11 +13,13 @@ from rmtdetect import (
     DetectorConfig,
     RegionPartition,
     WindowSpec,
+    covariance,
+    eigen_hermitian,
+    les,
     load_csv,
     load_partition,
     standardize,
     sweep,
-    window_taus,
     write_csv,
 )
 from rmtdetect.errors import (
@@ -256,7 +258,7 @@ def test_window_full_span(gaussian_source):
     cfg = DetectorConfig(window=WindowSpec(T=gaussian_source.t), functions=("LRF",))
     series = sweep(gaussian_source, cfg)
     np.testing.assert_array_equal(series.t, [gaussian_source.t - 1])
-    whole = window_taus(standardize(gaussian_source.values), 1, (LRF,), None)["LRF"]
+    whole = les.les(eigen_hermitian(covariance(standardize(gaussian_source.values))), LRF)
     assert series.data[("ALL", "LRF")].tau[0] == whole
 
 

@@ -12,7 +12,6 @@ from conftest import child_pids
 from rmtdetect import (
     DataSource,
     DetectorConfig,
-    RawWindow,
     WindowSpec,
     covariance,
     eigen_general,
@@ -145,8 +144,8 @@ def test_standardize_gives_the_bits_of_np_mean_and_np_std():
 def _spectra_stacks():
     rng = np.random.default_rng(12)
     real = np.sort(rng.gamma(2.0, size=(9, 23)), axis=1)
-    real[2, :3] = [-1e-17, 0.0, 1e-15]  # clamped, with a tiny positive raised too
-    real[4, 0] = 1e-16  # no nonpositive eigenvalue: kept as it is
+    real[2, :3] = [-1e-17, 0.0, 1e-15]  # two clamps counted, the tiny positive floored too
+    real[4, 0] = 1e-16  # floored at LOG_CLAMP, though not counted: it is positive
     real[6, 0] = 0.0
     ring = rng.standard_normal((9, 23)) + 1j * rng.standard_normal((9, 23))
     return real, ring
@@ -179,11 +178,22 @@ def test_mc_ring_msr_matches_the_per_trial_loop(monkeypatch):
     assert les.mc_ring_msr(N, T, L, reps, base) == (taus.mean(), taus.var(ddof=1))
 
 
-def _standardize_error(values):
-    ids = tuple(f"n{i}" for i in range(values.shape[0]))
+@pytest.mark.parametrize("f", [les.T2, les.LRF], ids=lambda f: f.name)
+def test_mc_covariance_les_standardized_matches_the_per_trial_loop(f):
+    N, T, reps, seed = 12, 30, 9, 4
+    rng = np.random.default_rng(seed)
+    taus = np.array([les.les(eigen_hermitian(covariance(standardize(
+        rng.standard_normal((N, T))))), f) for _ in range(reps)])
+    got = les.mc_covariance_les(f, N, T, reps, seed, standardized=True)
+    assert got == (taus.mean(), taus.var(ddof=1))
+
+
+def _standardize_error(values, row):
+    """standardize's message on values, row index `row` read as node n<row>."""
     with pytest.raises(DegenerateRowError) as err:
-        standardize(RawWindow(values, ids, tuple(range(values.shape[1])), values.shape[1] - 1))
-    return str(err.value)
+        standardize(values)
+    assert f"[{row}]" in str(err.value)
+    return str(err.value).replace(f"[{row}]", f"['n{row}']")
 
 
 @pytest.mark.parametrize(
@@ -198,7 +208,7 @@ def test_sweep_row_check_names_the_nodes_standardize_names(at_workers, row, valu
     noise = np.random.default_rng(1).standard_normal((8, 30))
     vals = noise.copy()
     vals[row] = values(noise[row])
-    expected = _standardize_error(vals)
+    expected = _standardize_error(vals, row)
     assert f"['n{row}']" in expected and "float64" in expected
     # the last of the 31 windows holds only vals; at two workers it runs in the child
     src = DataSource(np.hstack([noise, vals]), tuple(f"n{i}" for i in range(8)), tuple(range(60)))

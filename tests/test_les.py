@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from rmtdetect import (
+    DataSource,
+    DetectorConfig,
     MarchenkoPastur,
     RingLaw,
+    WindowSpec,
     clt_variance,
     covariance,
     eigen_general,
@@ -13,10 +16,14 @@ from rmtdetect import (
     mc_covariance_les,
     msr_moments,
     ring_product,
+    sample_gaussian_matrix,
     standardize,
+    sweep,
 )
 from rmtdetect.errors import ContractError, DivergenceError, ParameterError
-from rmtdetect.les import DET, LRF, MSR, T2, T3, T4, TestFunction, les, mc_ring_msr
+from rmtdetect.les import (
+    DET, LOG_CLAMP, LRF, MSR, T2, T3, T4, TestFunction, les, mc_ring_msr,
+)
 
 C_SCENARIO = 118 / 240
 
@@ -54,6 +61,22 @@ def test_les_log_domain_guard_and_clamp():
     assert val == pytest.approx(np.log(2.0) + 2 * np.log(1e-12))
     assert les(np.array([1.0, 2.0]), DET) == pytest.approx(np.log(2.0))
     assert clamp_event_count() == before + 2
+
+
+def test_rank_deficient_windows_floor_every_near_zero_eigenvalue():
+    # rows 5 and 7 copy rows 4 and 6, so every window's M has two eigenvalues
+    # at rounding level; whichever side of 0 they round to, each adds
+    # log(LOG_CLAMP) to DET, so tau does not jump from window to window
+    assert les(np.array([1e-16, 2.0]), DET) == les(np.array([-1e-17, 2.0]), DET)
+    src = sample_gaussian_matrix(10, 150, seed=1)
+    vals = src.values.copy()
+    vals[5], vals[7] = vals[4], vals[6]
+    cfg = DetectorConfig(window=WindowSpec(T=60), functions=("DET",))
+    series = sweep(DataSource(vals, src.node_ids, src.timestamps), cfg)
+    for end, tau in zip(series.t, series.data[("ALL", "DET")].tau):
+        lam = eigen_hermitian(covariance(standardize(vals[:, end - 59 : end + 1]))).eigenvalues
+        assert (lam[:2] < LOG_CLAMP).all() and (lam[2:] > 1e-3).all()
+        assert tau == pytest.approx(2 * np.log(LOG_CLAMP) + np.log(lam[2:]).sum(), rel=1e-12)
 
 
 def test_les_linearity_of_sum_form():

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from rmtdetect import (
-    RawWindow,
     covariance,
     haar_unitary,
     ring_product,
@@ -34,10 +33,17 @@ def test_standardize_idempotent():
     np.testing.assert_allclose(again, x, atol=1e-12)
 
 
-def test_constant_row_errors_with_node_name():
-    w = RawWindow(np.array([[5.0, 5.0, 5.0], [1.0, 2.0, 3.0]]), ("flatnode", "ok"), (0, 1, 2), 2)
-    with pytest.raises(DegenerateRowError, match="flatnode"):
-        standardize(w)
+def test_constant_row_errors_with_its_row_index():
+    # the sweep names the node id instead (tests/test_detect.py)
+    with pytest.raises(DegenerateRowError, match=r"zero-variance rows: \[0\]$"):
+        standardize(np.array([[5.0, 5.0, 5.0], [1.0, 2.0, 3.0]]))
+
+
+def test_precision_error_names_plain_row_indices():
+    x = np.random.default_rng(2).standard_normal((3, 20))
+    x[1] = 1e11 + 1e-3 * x[1]  # spread below float64's resolution at this offset
+    with pytest.raises(DegenerateRowError, match=r"^rmm: rows \[1\] cannot be standardized"):
+        standardize(x)
 
 
 def test_constant_row_jitter_policy_is_seeded():

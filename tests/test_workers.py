@@ -125,6 +125,26 @@ def test_clamp_count_includes_the_workers(at_workers):
     assert moved[0] == moved[1] > 0
 
 
+def test_map_sends_no_results_and_names_a_worker_that_died(at_workers):
+    # fn acts through shared memory; what it returns, here a generator no
+    # pipe could carry, never leaves the process that made it
+    out = les._shared(1, 6, float)
+
+    def fill(i):
+        out[0, i] = i * i
+        return (i for _ in ())
+
+    at_workers(2, les._map, fill, range(6))
+    assert out[0].tolist() == [0, 1, 4, 9, 16, 25]
+
+    def die(i):
+        if i == 5:  # in the child's chunk
+            os._exit(3)
+
+    with pytest.raises(RuntimeError, match="exited with code 3 before reporting"):
+        at_workers(2, les._map, die, range(6))
+
+
 @pytest.mark.parametrize(
     "env, cpus, expected",
     [
