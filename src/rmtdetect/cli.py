@@ -20,10 +20,10 @@ import numpy as np
 
 from . import __version__
 from .detect import (
-    KAPPA4_MIN,
     DetectorConfig,
     FunctionSeries,
     IndicatorSeries,
+    check_kappa4,
     extract_events,
     read_indicator_csv,
     regional_series,
@@ -31,8 +31,8 @@ from .detect import (
     write_events_json,
     write_indicator_csv,
 )
-from .errors import ConfigurationError, ParameterError, RmtDetectError
-from .ingest import WindowSpec, load_csv, load_partition, write_csv
+from .errors import ConfigurationError, NumericalFailureError, ParameterError, RmtDetectError
+from .ingest import WindowSpec, _json_object, load_csv, load_partition, write_csv
 from .les import COVARIANCE_FUNCTIONS, clt_variance, get_function, lln_expectation, msr_moments
 from .mapgen import render_run
 from .pca import residual_series, train
@@ -139,15 +139,7 @@ def _apply_config_file(commands: Dict[str, _Parser], argv: List[str]) -> None:
     known, _ = pre.parse_known_args(argv)
     if known.config is None:
         return
-    path = Path(known.config)
-    if not path.exists():
-        raise ConfigurationError(f"cli: no such config file: {path}")
-    try:
-        cfg = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ConfigurationError(f"cli: config file is not valid JSON: {e}") from None
-    if not isinstance(cfg, dict):
-        raise ConfigurationError("cli: config file must hold a JSON object")
+    cfg = _json_object(known.config, ConfigurationError, "cli: config file")
     sp = commands.get(argv[0])
     if sp is None:
         raise ConfigurationError("cli: --config requires a subcommand")
@@ -282,11 +274,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    if not (np.isfinite(args.kappa4) and args.kappa4 >= KAPPA4_MIN):
-        raise ParameterError(
-            f"cli: --kappa4 must be finite and >= {KAPPA4_MIN:g}, the least excess kurtosis "
-            f"of any distribution; got {args.kappa4}"
-        )
+    check_kappa4(args.kappa4)
     if args.N >= args.T:  # the sweep's rule: DET and LRF diverge at c = 1
         raise ParameterError(
             f"cli: theory needs N < T for DET and LRF, got N={args.N}, T={args.T}"
@@ -300,11 +288,20 @@ def _cmd_theory(args) -> int:
         e = lln_expectation(f, law, args.N)
         d = clt_variance(f, c, kappa4=args.kappa4)
         rows.append((name, e, d))
+    for name, e, d in rows:
+        if not (np.isfinite(e) and np.isfinite(d) and d >= 0):
+            # near c = 0, the MSR variance E[r^2] - E[r]^2 cancels below zero
+            raise NumericalFailureError(
+                f"cli: theory at N={args.N}, T={args.T}: {name} moments E={e}, D={d} are "
+                "not a finite mean and nonnegative variance"
+            )
     print(f"N={args.N} T={args.T} c={c:.4f} L={args.L} kappa4={args.kappa4}")
     print(f"{'function':<10}{'E':>14}{'D':>14}{'c_v':>12}")
     for name, e, d in rows:
         cv = np.sqrt(d) / e if e != 0 else np.nan
-        print(f"{name:<10}{e:>14.6g}{d:>14.6g}{cv:>12.4f}")
+        # fixed point would overrun the column at a huge --kappa4
+        cv_text = f"{cv:.4f}" if abs(cv) < 1e6 else f"{cv:.4g}"
+        print(f"{name:<10}{e:>14.6g}{d:>14.6g}{cv_text:>12}")
     return 0
 
 

@@ -69,6 +69,15 @@ WHOLE_SYSTEM = "ALL"
 KAPPA4_MIN = -2.0
 
 
+def check_kappa4(kappa4: float) -> None:
+    """The one rule for kappa4, shared by the sweep and the theory table."""
+    if not (np.isfinite(kappa4) and kappa4 >= KAPPA4_MIN):
+        raise ParameterError(
+            f"detect: kappa4 (--kappa4) must be finite and >= {KAPPA4_MIN:g}, the least "
+            f"excess kurtosis of any distribution; got {kappa4}"
+        )
+
+
 @dataclass(frozen=True)
 class DetectorConfig:
     window: WindowSpec
@@ -89,12 +98,12 @@ class DetectorConfig:
             raise ParameterError(
                 f"detect: threshold k (--k) must be finite and positive, got {self.threshold_k}"
             )
-        if not (np.isfinite(self.kappa4) and self.kappa4 >= KAPPA4_MIN):
-            raise ParameterError(
-                f"detect: kappa4 (--kappa4) must be finite and >= {KAPPA4_MIN:g}, the least "
-                f"excess kurtosis of any distribution; got {self.kappa4}"
-            )
+        check_kappa4(self.kappa4)
         object.__setattr__(self, "functions", tuple(self.functions))
+        if not self.functions:
+            raise ParameterError(
+                "detect: the test functions (--functions) name none; give at least one"
+            )
         for name in self.functions:
             get_function(name)
         if self.reference not in ("theoretical", "calibration"):
@@ -180,110 +189,6 @@ class EventReport:
 # ---------------------------------------------------------------------------
 
 
-def _window_ends(t: int, spec: WindowSpec) -> np.ndarray:
-    first = spec.T - 1
-    if first >= t:
-        raise InsufficientHistoryError(
-            f"detect: source with {t} samples is shorter than one window of {spec.T}"
-        )
-    return np.arange(first, t, spec.stride)
-
-
-def _sweep_rows(src: DataSource, ends: np.ndarray, cfg: DetectorConfig) -> Dict[str, np.ndarray]:
-    """tau per configured function at every window end, in end order.
-
-    Windows share no state and each draws from its own (base_seed, end)
-    seed, so _map may split the ends over worker processes without changing
-    a bit. The workers fill in the spectra; the taus are taken here, over
-    the stacks.
-    """
-    fns = [get_function(name) for name in cfg.functions]
-    T, L = cfg.window.T, cfg.window.L
-
-    def spectra_at(end: int):
-        return window_spectra(
-            src.values[:, end - T + 1 : end + 1], L, fns, window_seed(cfg.base_seed, end),
-            src.node_ids, cfg.degenerate_policy,
-        )
-
-    return stacked_taus(*map_spectra(spectra_at, [int(e) for e in ends], src.n, fns), fns)
-
-
-def _references(
-    cfg: DetectorConfig,
-    block: str,
-    name: str,
-    N: int,
-    T: int,
-    tau: np.ndarray,
-    calib_mask: np.ndarray,
-) -> Tuple[float, float, float, str]:
-    """(e_eta, e_flag, d_flag, mode) for one (region, function) track."""
-    c = N / T
-    if cfg.reference == "calibration":
-        sel = tau[calib_mask]
-        if len(sel) < 2:
-            raise ConfigurationError(
-                f"detect: calibration range holds {len(sel)} windows; need at least 2"
-            )
-        mu = float(sel.mean())
-        var = float(sel.var(ddof=1))
-        sd = np.sqrt(var)
-        if sd <= 1e-12 * max(1.0, abs(mu)):
-            # with a zero band, one ulp of drift flags a window
-            lo, hi = cfg.calibration_range
-            raise ConfigurationError(
-                f"detect: block {block!r}, function {name}: tau does not vary over the "
-                f"calibration range [{lo}, {hi}] (sd {sd:.3g}, mean {mu:.6g}); "
-                "pick a range where the data fluctuates"
-            )
-        return mu, mu, var, "calibration"
-    f = get_function(name)
-    if name in RING_FUNCTIONS:
-        e_eta = msr_moments(c, cfg.window.L).expectation
-        mu_mc, var_mc = mc_ring_msr(N, T, cfg.window.L, reps=cfg.mc_reps, seed_base=cfg.base_seed)
-        return e_eta, mu_mc, var_mc, "monte-carlo"
-    law = MarchenkoPastur(kind="mp2", c=c, sigma2=1.0)
-    e = lln_expectation(f, law, N)
-    v = clt_variance(f, c, kappa4=cfg.kappa4)
-    return e, e, v, "theoretical"
-
-
-def _calibration_mask(ends: np.ndarray, cfg: DetectorConfig) -> np.ndarray:
-    if cfg.reference != "calibration":
-        return np.zeros(len(ends), dtype=bool)
-    lo, hi = cfg.calibration_range
-    mask = (ends >= lo) & (ends <= hi)
-    return mask
-
-
-def _assemble(
-    block: str,
-    ends: np.ndarray,
-    taus: Dict[str, np.ndarray],
-    cfg: DetectorConfig,
-    N: int,
-) -> Dict[str, FunctionSeries]:
-    calib = _calibration_mask(ends, cfg)
-    out = {}
-    for name, tau in taus.items():
-        e_eta, e_flag, d_flag, mode = _references(cfg, block, name, N, cfg.window.T, tau, calib)
-        if not (np.isfinite(e_flag) and np.isfinite(d_flag) and d_flag >= 0):
-            # a NaN reference makes every comparison False: the track would never flag
-            raise NumericalFailureError(
-                f"detect: block {block!r}, function {name}: {mode} reference moments "
-                f"E={e_flag}, D={d_flag} are not a finite mean and nonnegative variance"
-            )
-        eta = tau / e_eta if e_eta != 0.0 else np.full_like(tau, np.nan)
-        dev = np.abs(tau - e_flag)
-        flag = ~calib & (dev > cfg.threshold_k * np.sqrt(d_flag))
-        out[name] = FunctionSeries(
-            tau=tau, eta=eta, flag=flag,
-            e_eta=e_eta, e_flag=e_flag, d_flag=d_flag, reference=mode,
-        )
-    return out
-
-
 def _check_blocks(blocks: Dict[str, DataSource], cfg: DetectorConfig) -> None:
     """Reject every block too wide for the window, before any window runs.
 
@@ -301,14 +206,95 @@ def _check_blocks(blocks: Dict[str, DataSource], cfg: DetectorConfig) -> None:
             )
 
 
+def _series(
+    src: DataSource, blocks: Dict[str, DataSource], cfg: DetectorConfig
+) -> IndicatorSeries:
+    """One track per (block, function), every block swept over the window
+    ends of `src`.
+
+    Windows share no state and each draws from its own (base_seed, end)
+    seed, so map_spectra may split the ends over worker processes without
+    changing a bit. The workers fill in the spectra; the taus are taken
+    here, over the stacks.
+    """
+    _check_blocks(blocks, cfg)
+    T, L = cfg.window.T, cfg.window.L
+    if T > src.t:
+        raise InsufficientHistoryError(
+            f"detect: source with {src.t} samples is shorter than one window of {T}"
+        )
+    ends = np.arange(T - 1, src.t, cfg.window.stride)
+    calib = np.zeros(len(ends), dtype=bool)
+    if cfg.reference == "calibration":
+        lo, hi = cfg.calibration_range
+        calib = (ends >= lo) & (ends <= hi)
+    end_list = [int(e) for e in ends]
+    fns = [get_function(name) for name in cfg.functions]
+    data = {}
+    for block, sub in blocks.items():
+        def spectra_at(end: int, sub: DataSource = sub):
+            return window_spectra(
+                sub.values[:, end - T + 1 : end + 1], L, fns, window_seed(cfg.base_seed, end),
+                sub.node_ids, cfg.degenerate_policy,
+            )
+
+        # the shared stacks are freed here, before the next block's are made
+        taus = stacked_taus(*map_spectra(spectra_at, end_list, sub.n, fns), fns)
+        for name, tau in taus.items():
+            data[(block, name)] = _track(cfg, block, name, sub.n, tau, calib)
+    return IndicatorSeries(t=ends, data=data, meta=_meta(cfg, src))
+
+
+def _track(
+    cfg: DetectorConfig, block: str, name: str, N: int, tau: np.ndarray, calib: np.ndarray
+) -> FunctionSeries:
+    """One (block, function) track: its reference moments, eta and flags."""
+    c = N / cfg.window.T
+    if cfg.reference == "calibration":
+        sel = tau[calib]
+        if len(sel) < 2:
+            raise ConfigurationError(
+                f"detect: calibration range holds {len(sel)} windows; need at least 2"
+            )
+        e_eta = e_flag = float(sel.mean())
+        d_flag = float(sel.var(ddof=1))
+        sd = np.sqrt(d_flag)
+        if sd <= 1e-12 * max(1.0, abs(e_flag)):
+            # with a zero band, one ulp of drift flags a window
+            lo, hi = cfg.calibration_range
+            raise ConfigurationError(
+                f"detect: block {block!r}, function {name}: tau does not vary over the "
+                f"calibration range [{lo}, {hi}] (sd {sd:.3g}, mean {e_flag:.6g}); "
+                "pick a range where the data fluctuates"
+            )
+        mode = "calibration"
+    elif name in RING_FUNCTIONS:
+        e_eta = msr_moments(c, cfg.window.L).expectation
+        e_flag, d_flag = mc_ring_msr(N, cfg.window.T, cfg.window.L, reps=cfg.mc_reps,
+                                     seed_base=cfg.base_seed)
+        mode = "monte-carlo"
+    else:
+        f = get_function(name)
+        e_eta = e_flag = lln_expectation(f, MarchenkoPastur(kind="mp2", c=c, sigma2=1.0), N)
+        d_flag = clt_variance(f, c, kappa4=cfg.kappa4)
+        mode = "theoretical"
+    if not (np.isfinite(e_flag) and np.isfinite(d_flag) and d_flag >= 0):
+        # a NaN reference makes every comparison False: the track would never flag
+        raise NumericalFailureError(
+            f"detect: block {block!r}, function {name}: {mode} reference moments "
+            f"E={e_flag}, D={d_flag} are not a finite mean and nonnegative variance"
+        )
+    eta = tau / e_eta if e_eta != 0.0 else np.full_like(tau, np.nan)
+    flag = ~calib & (np.abs(tau - e_flag) > cfg.threshold_k * np.sqrt(d_flag))
+    return FunctionSeries(
+        tau=tau, eta=eta, flag=flag,
+        e_eta=e_eta, e_flag=e_flag, d_flag=d_flag, reference=mode,
+    )
+
+
 def sweep(src: DataSource, cfg: DetectorConfig) -> IndicatorSeries:
     """Whole-system sweep: one track per configured function, region "ALL"."""
-    _check_blocks({WHOLE_SYSTEM: src}, cfg)
-    ends = _window_ends(src.t, cfg.window)
-    taus = _sweep_rows(src, ends, cfg)
-    series = _assemble(WHOLE_SYSTEM, ends, taus, cfg, src.n)
-    data = {(WHOLE_SYSTEM, name): fs for name, fs in series.items()}
-    return IndicatorSeries(t=ends, data=data, meta=_meta(cfg, src))
+    return _series(src, {WHOLE_SYSTEM: src}, cfg)
 
 
 def regional_series(src: DataSource, cfg: DetectorConfig) -> IndicatorSeries:
@@ -321,12 +307,11 @@ def regional_series(src: DataSource, cfg: DetectorConfig) -> IndicatorSeries:
     """
     if cfg.regions is None:
         raise ConfigurationError("detect: regional series needs a region partition")
-    spec = cfg.window
-    blocks = {WHOLE_SYSTEM: src} if src.n <= spec.T else {}
+    blocks = {WHOLE_SYSTEM: src} if src.n <= cfg.window.T else {}
     if not blocks:
         # too wide for one block: analyze per region only (blockwise mode)
         warnings.warn(
-            f"detect: whole system of {src.n} nodes exceeds T={spec.T}; "
+            f"detect: whole system of {src.n} nodes exceeds T={cfg.window.T}; "
             'skipping the "ALL" series',
             RuntimeWarning,
             stacklevel=2,
@@ -343,16 +328,7 @@ def regional_series(src: DataSource, cfg: DetectorConfig) -> IndicatorSeries:
             )
             continue
         blocks[region] = src.restrict(avail)
-    _check_blocks(blocks, cfg)
-    if WHOLE_SYSTEM in blocks:
-        base = sweep(blocks.pop(WHOLE_SYSTEM), cfg)
-    else:
-        base = IndicatorSeries(t=_window_ends(src.t, spec), data={}, meta=_meta(cfg, src))
-    for region, sub in blocks.items():
-        taus = _sweep_rows(sub, base.t, cfg)
-        for name, fs in _assemble(region, base.t, taus, cfg, sub.n).items():
-            base.data[(region, name)] = fs
-    return base
+    return _series(src, blocks, cfg)
 
 
 def _meta(cfg: DetectorConfig, src: DataSource) -> dict:

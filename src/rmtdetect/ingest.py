@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Tuple
@@ -242,20 +243,42 @@ def write_csv(src: DataSource, path) -> None:
             writer.writerow([nid, *map(repr, row.tolist())])
 
 
-def load_partition(path) -> RegionPartition:
-    """Partition file: JSON {region: [node_id, ...], "layout": {node: [x, y]}}."""
+def _json_object(path, error: type, what: str) -> dict:
+    """The JSON object the file at `path` holds. A missing file, invalid
+    JSON or any other JSON value raises `error`, naming `what` and the file."""
     path = Path(path)
     if not path.exists():
-        raise MalformedInputError(f"ingest: no such file: {path}")
+        raise error(f"{what} {path} does not exist")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
-        raise MalformedInputError(f"ingest: {path} is not valid JSON: {e}") from None
+        raise error(f"{what} {path} is not valid JSON: {e}") from None
     if not isinstance(raw, dict):
-        raise MalformedInputError(f"ingest: {path} must hold a JSON object")
+        raise error(f"{what} {path} must hold a JSON object")
+    return raw
+
+
+def load_partition(path) -> RegionPartition:
+    """Partition file: JSON {region: [node_id, ...], "layout": {node: [x, y]}}."""
+    raw = _json_object(path, MalformedInputError, "ingest: partition file")
     layout = raw.pop("layout", None)
     if layout is not None:
+        if not isinstance(layout, dict):
+            raise MalformedInputError(f'ingest: partition file {path}: "layout" must be an object')
+        for nid, xy in layout.items():  # a pair of numbers that float64 holds finitely
+            if not (isinstance(xy, list) and len(xy) == 2 and all(
+                    type(v) in (int, float) and abs(v) <= sys.float_info.max for v in xy)):
+                raise MalformedInputError(
+                    f"ingest: partition file {path}: node {nid!r} needs an [x, y] pair of "
+                    f"finite numbers, got {json.dumps(xy)}"
+                )
         layout = {k: (float(v[0]), float(v[1])) for k, v in layout.items()}
+    for name, nodes in raw.items():
+        if not (isinstance(nodes, list) and all(isinstance(nid, str) for nid in nodes)):
+            raise MalformedInputError(
+                f"ingest: partition file {path}: region {name!r} needs a list of node ids "
+                f"(strings), got {json.dumps(nodes)}"
+            )
     regions = {name: tuple(nodes) for name, nodes in raw.items()}
     if not regions and layout is None:
         raise MalformedInputError(f"ingest: {path} defines no regions and no layout")

@@ -18,7 +18,7 @@ from typing import Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from .detect import IndicatorSeries
-from .errors import ConfigurationError, ContractError
+from .errors import ConfigurationError, ContractError, ParameterError
 from .ingest import RegionPartition
 
 NODE_SNAP = 1e-9
@@ -67,6 +67,10 @@ def _idw_weights(points, bounds, grid_size: int, power: float) -> tuple:
     on their values: every frame over the same nodes and grid shares it."""
     if grid_size < 2:
         raise ContractError(f"mapgen: grid size must be >= 2, got {grid_size}")
+    if not (np.isfinite(power) and power > 0):  # d**-nan and d**-inf make every cell NaN
+        raise ParameterError(
+            f"mapgen: IDW power (--power) must be finite and positive, got {power}"
+        )
     pts = np.array(points, dtype=float)
     xmin, xmax, ymin, ymax = bounds
     gx = np.linspace(xmin, xmax, grid_size)
@@ -141,8 +145,6 @@ def render_run(
         function = functions[0]
     elif function not in functions:
         raise ConfigurationError(f"mapgen: series has no function {function!r}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     bounds = layout_bounds(layout)
     tracks = _node_tracks(series, function, partition, layout)
     if not tracks:
@@ -151,6 +153,8 @@ def render_run(
         )
     weights = _idw_weights([layout[nid] for nid in tracks], bounds, grid_size, power)
     etas = np.array(list(tracks.values()), dtype=float)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     frame_bounds = [float(b) for b in bounds]
     names = []
     for index in range(0, len(series.t), frame_stride):

@@ -10,15 +10,13 @@ noise looks like to the detector: a correlated deviation, not physics.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError
-from .ingest import DataSource, RegionPartition
+from .ingest import DataSource, RegionPartition, _json_object
 from .rng import SeedLike, as_generator
 
 SEGMENT_KINDS = ("flat", "step", "ramp", "collapse")
@@ -71,8 +69,8 @@ class Scenario:
     def __post_init__(self):
         if self.n < 2 or self.t < 2:
             raise ParameterError(f"synth: scenario must be at least 2x2, got {self.n}x{self.t}")
-        if self.noise_std <= 0:
-            raise ParameterError(f"synth: noise std must be positive, got {self.noise_std}")
+        if not (np.isfinite(self.noise_std) and self.noise_std > 0):
+            raise ParameterError(f"synth: noise std must be finite and > 0, got {self.noise_std}")
         segs = tuple(sorted(self.segments, key=lambda s: s.start))
         object.__setattr__(self, "segments", segs)
         if segs:
@@ -229,13 +227,10 @@ def scenario_from_dict(raw: dict) -> Scenario:
             segments=segments,
             node_prefix=str(raw.get("node_prefix", "bus")),
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ConfigurationError(f"synth: bad scenario description: {e}") from None
 
 
 def load_scenario(path) -> Scenario:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"synth: no such scenario file: {path}")
-    return scenario_from_dict(json.loads(path.read_text(encoding="utf-8")))
+    return scenario_from_dict(_json_object(path, ConfigurationError, "synth: scenario file"))
 

@@ -126,6 +126,22 @@ def test_kappa4_of_minus_two_is_accepted(capsys):
     assert all(d >= 0 and np.isfinite(cv) for _, d, cv in _theory_table(out).values())
 
 
+def test_theory_c_v_column_keeps_its_width_at_a_huge_kappa4(capsys):
+    # a fixed-point c_v of ~1e148 ran 150 digits into the D column
+    code, out, _ = run_cli(capsys, "theory", "--N", "118", "--T", "240", "--kappa4", "1e300")
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 7 and all(len(row) == 50 for row in rows)
+    assert _theory_table(out)["LRF"][2] == pytest.approx(9.84e147, rel=1e-3)
+
+
+def test_theory_variance_lost_to_rounding_is_a_numerical_failure(capsys):
+    # at c ~ 6e-6 the MSR variance cancelled to -3.9e-12 and c_v printed nan
+    code, out, err = run_cli(capsys, "theory", "--N", "10", "--T", "1638077")
+    assert code == 2 and out == ""
+    assert "error [NumericalFailureError]" in err and "MSR" in err and "T=1638077" in err
+
+
 @pytest.mark.parametrize("m_prime", ["0", "18"])
 def test_m_prime_outside_its_range_names_the_flag_and_range(small_run, tmp_path, capsys, m_prime):
     _, data, _ = small_run  # 18 nodes
@@ -280,6 +296,72 @@ def test_mapframes_cli(small_run, tmp_path, capsys):
     assert len(manifest["frames"]) >= 1
     first = json.loads((frames / manifest["frames"][0]).read_text())
     assert len(first["grid"]) == 16
+
+
+@pytest.mark.parametrize("power", ["nan", "inf", "0", "-1"])
+def test_mapframes_power_must_be_finite_and_positive(small_run, tmp_path, capsys, power):
+    # --power nan or inf wrote frames whose every cell was NaN
+    root, _, _ = small_run
+    report = tmp_path / "report"
+    report.mkdir()
+    (report / "indicator.csv").write_text(
+        "t,region,function,tau,eta,flag\r\n"
+        "0,bus1,MSR,1.0,1.0,normal\r\n0,bus7,MSR,2.0,2.0,normal\r\n"
+    )
+    frames = tmp_path / "frames"
+    code, _, err = run_cli(
+        capsys, "mapframes", "--report", str(report), "--layout", str(root / "partition.json"),
+        "--grid", "8", "--power", power, "--out", str(frames),
+    )
+    assert code == 1
+    assert "error [ParameterError]" in err and "--power" in err
+    assert not frames.exists()
+
+
+@pytest.mark.parametrize("functions", ["", ","])
+def test_empty_functions_is_an_input_error(small_run, tmp_path, capsys, functions):
+    _, data, _ = small_run
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "analyze", "--input", str(data), "--T", "60",
+                           "--functions", functions, "--out", str(out))
+    assert code == 1
+    assert "error [ParameterError]" in err and "--functions" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, text, error, named",
+    [
+        ("--scenario", "{not json", "ConfigurationError", "bad.json"),
+        ("--scenario", "[1, 2]", "ConfigurationError", "bad.json"),
+        ("--scenario", '{"n": 1e400, "t": 10}', "ConfigurationError", "bad scenario description"),
+        ("--partition", "{not json", "MalformedInputError", "bad.json"),
+        ("--partition", '{"A": ["a", "b"], "layout": [1, 2]}', "MalformedInputError", "bad.json"),
+        ("--partition", '{"A": 5}', "MalformedInputError", "bad.json"),
+        ("--partition", '{"A": ["bus1", 2]}', "MalformedInputError", "bad.json"),
+        ("--partition", '{"A": ["a"], "layout": {"a": 3}}', "MalformedInputError", "bad.json"),
+        ("--partition", '{"layout": {"a": [0, NaN]}}', "MalformedInputError", "bad.json"),
+        ("--partition", '{"layout": {"a": [0, true]}}', "MalformedInputError", "bad.json"),
+        ("--config", "{not json", "ConfigurationError", "bad.json"),
+        ("--config", "[1, 2]", "ConfigurationError", "bad.json"),
+    ],
+)
+def test_malformed_json_file_is_an_input_error_naming_it(small_run, tmp_path, capsys,
+                                                         flag, text, error, named):
+    # a JSON decode error, a list or a wrong-typed entry ended in a traceback
+    _, data, _ = small_run
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    out = tmp_path / "out"
+    argv = {
+        "--scenario": ["simulate", "--out", str(out / "d.csv")],
+        "--partition": ["analyze", "--input", str(data), "--T", "60", "--out", str(out)],
+        "--config": ["theory", "--N", "10", "--T", "20"],
+    }[flag]
+    code, stdout, err = run_cli(capsys, *argv, flag, str(bad))
+    assert code == 1 and stdout == ""
+    assert f"error [{error}]" in err and named in err
+    assert not out.exists()
 
 
 def test_config_file_mirrors_flags(capsys, tmp_path):

@@ -402,6 +402,22 @@ def test_reserved_region_name():
         regional_series(src, cfg)
 
 
+def test_regional_series_checks_every_block_once(monkeypatch):
+    # "ALL" and the regions go through one block loop, so one check
+    calls = []
+    check = detect_module._check_blocks
+    monkeypatch.setattr(detect_module, "_check_blocks",
+                        lambda blocks, cfg: calls.append(list(blocks)) or check(blocks, cfg))
+    src = sample_gaussian_matrix(8, 120, seed=5)
+    part = RegionPartition({"Q": src.node_ids[4:], "P": src.node_ids[:4]})
+    cfg = small_cfg(window=WindowSpec(T=30, stride=15), regions=part, mc_reps=20)
+    series = regional_series(src, cfg)
+    assert calls == [["ALL", "P", "Q"]]
+    assert sorted(series.data) == [("ALL", "MSR"), ("P", "MSR"), ("Q", "MSR")]
+    np.testing.assert_array_equal(series.data[("ALL", "MSR")].tau,
+                                  sweep(src, cfg).data[("ALL", "MSR")].tau)
+
+
 def test_regional_series_requires_partition():
     src = sample_gaussian_matrix(8, 120, seed=5)
     with pytest.raises(ConfigurationError):

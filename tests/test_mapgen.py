@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from rmtdetect import frame, render_run
 from rmtdetect.mapgen import layout_bounds
 from rmtdetect.detect import FunctionSeries, IndicatorSeries
-from rmtdetect.errors import ConfigurationError, ContractError
+from rmtdetect.errors import ConfigurationError, ContractError, ParameterError
 from rmtdetect.ingest import RegionPartition
 
 
@@ -167,3 +167,9 @@ def test_render_run_frames_match_frame_per_timestamp(tmp_path):
         expected = json.dumps({"t": f.t, "bounds": list(f.bounds), "quantity": "eta",
                                "grid": [[float(v) for v in row] for row in f.grid]})
         assert (tmp_path / "f" / name).read_text() == expected
+
+
+@pytest.mark.parametrize("power", [np.nan, np.inf, 0.0, -2.0])
+def test_frame_rejects_a_power_that_is_not_finite_and_positive(power):
+    with pytest.raises(ParameterError, match=r"--power"):
+        frame({"a": 1.0, "b": 2.0}, {"a": (0.0, 0.0), "b": (1.0, 0.0)}, grid_size=4, power=power)

@@ -145,3 +145,8 @@ def test_scenario_from_bad_dict():
         scenario_from_dict({"n": 4})
     with pytest.raises(ConfigurationError):
         load_scenario("/nonexistent/sc.json")
+
+
+def test_scenario_noise_std_must_be_finite():
+    with pytest.raises(ParameterError, match="noise std"):
+        scenario_from_dict({"n": 4, "t": 10, "noise_std": float("nan")})
