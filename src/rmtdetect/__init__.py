@@ -31,7 +31,7 @@ from .les import (
     mc_ring_msr,
     msr_moments,
 )
-from .mapgen import MapFrame, frame, render_run
+from .mapgen import render_run
 from .pca import PilotModel, residual_series, train
 from .rmm import (
     CovarianceMatrix,

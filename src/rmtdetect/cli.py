@@ -275,6 +275,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_theory(args) -> int:
     check_kappa4(args.kappa4)
+    if args.N < 1:
+        raise ParameterError(f"cli: theory needs --N >= 1, got {args.N}")
     if args.N >= args.T:  # the sweep's rule: DET and LRF diverge at c = 1
         raise ParameterError(
             f"cli: theory needs N < T for DET and LRF, got N={args.N}, T={args.T}"

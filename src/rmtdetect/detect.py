@@ -39,10 +39,11 @@ from .errors import (
     ConfigurationError,
     ContractError,
     InsufficientHistoryError,
+    MalformedInputError,
     NumericalFailureError,
     ParameterError,
 )
-from .ingest import DataSource, RegionPartition, WindowSpec
+from .ingest import DataSource, RegionPartition, WindowSpec, _csv_rows
 from .les import (
     LOG_CLAMP,
     RING_FUNCTIONS,
@@ -63,6 +64,7 @@ from .rng import window_seed
 from .spectral import MarchenkoPastur
 
 WHOLE_SYSTEM = "ALL"
+INDICATOR_COLUMNS = ("t", "region", "function", "tau", "eta", "flag")
 
 # Excess kurtosis is E[x^4] / E[x^2]^2 - 3 >= -2 for every distribution;
 # below it the kappa4 term of clt_variance can turn a variance negative.
@@ -104,8 +106,10 @@ class DetectorConfig:
             raise ParameterError(
                 "detect: the test functions (--functions) name none; give at least one"
             )
-        for name in self.functions:
+        for i, name in enumerate(self.functions):
             get_function(name)
+            if name in self.functions[:i]:  # taus are keyed by name: a repeat doubles a track
+                raise ParameterError(f"detect: the test functions (--functions) name {name} twice")
         if self.reference not in ("theoretical", "calibration"):
             raise ParameterError(f"detect: unknown reference mode {self.reference!r}")
         if self.reference == "calibration" and self.calibration_range is None:
@@ -408,7 +412,7 @@ def write_indicator_csv(series: IndicatorSeries, path) -> None:
     path = Path(path)
     ts = [int(t) for t in series.t]
     with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write("t,region,function,tau,eta,flag\r\n")
+        fh.write(",".join(INDICATOR_COLUMNS) + "\r\n")
         for (region, name), fs in sorted(series.data.items()):
             # csv.writer quotes the labels; no tau, eta or flag word needs quoting
             label = io.StringIO()
@@ -424,26 +428,37 @@ def write_indicator_csv(series: IndicatorSeries, path) -> None:
 
 
 def read_indicator_csv(path) -> IndicatorSeries:
-    """Rebuild a series from its CSV (reference moments are not recoverable)."""
+    """Rebuild a series from its CSV (reference moments are not recoverable).
+    A malformed file raises MalformedInputError naming the file and row."""
     path = Path(path)
+    what = f"detect: indicator file {path}"
+    reader = _csv_rows(path, "detect: indicator file")
+    header = next(reader, [])
+    missing = [c for c in INDICATOR_COLUMNS if c not in header]
+    if missing:
+        raise MalformedInputError(f"{what} lacks the columns {missing}")
+    cols = [header.index(c) for c in INDICATOR_COLUMNS]
     rows: Dict[Tuple[str, str], Dict[int, Tuple[float, float, bool]]] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            key = (rec["region"], rec["function"])
-            rows.setdefault(key, {})[int(rec["t"])] = (
-                float(rec["tau"]),
-                float(rec["eta"]),
-                rec["flag"] == "anomalous",
+    for r, rec in enumerate(reader, start=2):
+        if not rec:
+            continue
+        if len(rec) != len(header):
+            raise MalformedInputError(f"{what} row {r}: {len(rec)} cells, expected {len(header)}")
+        t, region, function, tau, eta, flag = (rec[j] for j in cols)
+        try:
+            rows.setdefault((region, function), {})[int(t)] = (
+                float(tau), float(eta), flag == "anomalous"
             )
+        except ValueError:
+            raise MalformedInputError(f"{what} row {r}: t, tau or eta is not a number") from None
     if not rows:
-        raise ContractError(f"detect: {path} holds no indicator rows")
+        raise MalformedInputError(f"{what} holds no indicator rows")
     ts = sorted(next(iter(rows.values())).keys())
     t_arr = np.array(ts, dtype=int)
     data = {}
     for key, by_t in rows.items():
         if sorted(by_t.keys()) != ts:
-            raise ContractError(f"detect: {path} has inconsistent timestamps across tracks")
+            raise MalformedInputError(f"{what} has inconsistent timestamps across tracks")
         tau = np.array([by_t[t][0] for t in ts])
         eta = np.array([by_t[t][1] for t in ts])
         flag = np.array([by_t[t][2] for t in ts], dtype=bool)

@@ -157,43 +157,40 @@ def load_csv(path, policy: str = "error") -> DataSource:
     if policy not in MISSING_POLICIES:
         raise ParameterError(f"ingest: unknown missing-data policy {policy!r}")
     path = Path(path)
-    if not path.exists():
-        raise MalformedInputError(f"ingest: no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    reader = _csv_rows(path, "ingest: data file")
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise MalformedInputError(f"ingest: {path} is empty") from None
+    try:
+        timestamps = [int(float(x)) for x in header[1:]]
+    except ValueError:
+        raise MalformedInputError(f"ingest: {path} header is not numeric timestamps") from None
+    node_ids = []
+    rows = []
+    for r, rec in enumerate(reader, start=2):
+        if not rec:
+            continue
+        nid = rec[0].strip()
+        if not nid:
+            raise MalformedInputError(f"ingest: {path} row {r}: blank node id")
+        if len(rec) - 1 != len(timestamps):
+            raise MalformedInputError(
+                f"ingest: {path} row {r}: {len(rec) - 1} cells, expected {len(timestamps)}"
+            )
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedInputError(f"ingest: {path} is empty") from None
-        try:
-            timestamps = [int(float(x)) for x in header[1:]]
-        except ValueError:
-            raise MalformedInputError(f"ingest: {path} header is not numeric timestamps") from None
-        node_ids = []
-        rows = []
-        for r, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            nid = rec[0].strip()
-            if not nid:
-                raise MalformedInputError(f"ingest: {path} row {r}: blank node id")
-            if len(rec) - 1 != len(timestamps):
-                raise MalformedInputError(
-                    f"ingest: {path} row {r}: {len(rec) - 1} cells, expected {len(timestamps)}"
-                )
-            try:
-                # float strips whitespace itself, as _parse_cell does
-                vals = np.array(list(map(float, rec[1:])))
-            except ValueError:  # a blank or bad cell: parse cell by cell
-                vals = np.empty(len(timestamps))
-                for j, cell in enumerate(rec[1:]):
-                    try:
-                        vals[j] = _parse_cell(cell)
-                    except MalformedInputError as e:
-                        raise MalformedInputError(f"{e} (row {r}, column {j + 2})") from None
-            vals = _apply_policy(vals, nid, policy, path, r)
-            node_ids.append(nid)
-            rows.append(vals)
+            # float strips whitespace itself, as _parse_cell does
+            vals = np.array(list(map(float, rec[1:])))
+        except ValueError:  # a blank or bad cell: parse cell by cell
+            vals = np.empty(len(timestamps))
+            for j, cell in enumerate(rec[1:]):
+                try:
+                    vals[j] = _parse_cell(cell)
+                except MalformedInputError as e:
+                    raise MalformedInputError(f"{e} (row {r}, column {j + 2})") from None
+        vals = _apply_policy(vals, nid, policy, path, r)
+        node_ids.append(nid)
+        rows.append(vals)
     if not rows:
         raise MalformedInputError(f"ingest: {path} has no data rows")
     return DataSource(np.vstack(rows), tuple(node_ids), tuple(timestamps))
@@ -243,14 +240,41 @@ def write_csv(src: DataSource, path) -> None:
             writer.writerow([nid, *map(repr, row.tolist())])
 
 
-def _json_object(path, error: type, what: str) -> dict:
-    """The JSON object the file at `path` holds. A missing file, invalid
-    JSON or any other JSON value raises `error`, naming `what` and the file."""
-    path = Path(path)
-    if not path.exists():
-        raise error(f"{what} {path} does not exist")
+def _read_text(path: Path, error: type, what: str) -> str:
+    """The UTF-8 text of the file at `path`; an unreadable file or a bad byte
+    raises `error` naming `what`, the file and the bad byte's row."""
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        return path.read_bytes().decode("utf-8")
+    except FileNotFoundError:
+        raise error(f"{what} {path}: no such file") from None
+    except OSError as e:  # a directory, no permission, ...
+        raise error(f"{what} {path} cannot be read: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        row = e.object.count(b"\n", 0, e.start) + 1
+        raise error(f"{what} {path} row {row} is not UTF-8 text") from None
+
+
+def _csv_rows(path: Path, what: str):
+    """The rows of the CSV file at `path`, streamed; a file `_read_text` or the
+    csv module rejects raises MalformedInputError naming the file and row."""
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            yield from reader
+    except csv.Error as e:
+        raise MalformedInputError(f"{what} {path} row {reader.line_num}: {e}") from None
+    except (OSError, UnicodeDecodeError):
+        _read_text(path, MalformedInputError, what)  # raises, naming the row of a bad byte
+        raise
+
+
+def _json_object(path, error: type, what: str) -> dict:
+    """The JSON object the file at `path` holds. A missing or unreadable
+    file, invalid JSON or any other JSON value raises `error`, naming
+    `what` and the file."""
+    path = Path(path)
+    try:
+        raw = json.loads(_read_text(path, error, what))
     except json.JSONDecodeError as e:
         raise error(f"{what} {path} is not valid JSON: {e}") from None
     if not isinstance(raw, dict):

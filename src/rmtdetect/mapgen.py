@@ -11,7 +11,6 @@ weights, computed once per run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -22,78 +21,6 @@ from .errors import ConfigurationError, ContractError, ParameterError
 from .ingest import RegionPartition
 
 NODE_SNAP = 1e-9
-
-
-@dataclass(frozen=True)
-class MapFrame:
-    t: int
-    grid: np.ndarray
-    bounds: Tuple[float, float, float, float]  # xmin, xmax, ymin, ymax
-
-
-def layout_bounds(layout: Mapping[str, Tuple[float, float]]) -> Tuple[float, float, float, float]:
-    xs = [xy[0] for xy in layout.values()]
-    ys = [xy[1] for xy in layout.values()]
-    return (min(xs), max(xs), min(ys), max(ys))
-
-
-def frame(
-    values: Mapping[str, float],
-    layout: Mapping[str, Tuple[float, float]],
-    grid_size: int = 64,
-    power: float = 2.0,
-    bounds: Optional[Tuple[float, float, float, float]] = None,
-    t: int = 0,
-) -> MapFrame:
-    """Interpolate node values onto a grid_size x grid_size lattice.
-
-    A cell within NODE_SNAP of a node takes that node's value exactly.
-    """
-    if not values:
-        raise ContractError("mapgen: no node values to interpolate")
-    missing = [nid for nid in values if nid not in layout]
-    if missing:
-        raise ContractError(f"mapgen: layout lacks coordinates for {missing[:5]}")
-    if bounds is None:
-        bounds = layout_bounds({nid: layout[nid] for nid in values})
-    weights = _idw_weights([layout[nid] for nid in values], bounds, grid_size, power)
-    vals = np.array([values[nid] for nid in values], dtype=float)
-    grid = _idw_grid(weights, vals)
-    return MapFrame(t=int(t), grid=grid, bounds=tuple(float(b) for b in bounds))
-
-
-def _idw_weights(points, bounds, grid_size: int, power: float) -> tuple:
-    """Everything of an IDW frame that depends on node positions only, not
-    on their values: every frame over the same nodes and grid shares it."""
-    if grid_size < 2:
-        raise ContractError(f"mapgen: grid size must be >= 2, got {grid_size}")
-    if not (np.isfinite(power) and power > 0):  # d**-nan and d**-inf make every cell NaN
-        raise ParameterError(
-            f"mapgen: IDW power (--power) must be finite and positive, got {power}"
-        )
-    pts = np.array(points, dtype=float)
-    xmin, xmax, ymin, ymax = bounds
-    gx = np.linspace(xmin, xmax, grid_size)
-    gy = np.linspace(ymin, ymax, grid_size)
-    cx, cy = np.meshgrid(gx, gy, indexing="xy")
-    d = np.hypot(cx[..., None] - pts[:, 0], cy[..., None] - pts[:, 1])
-    snapped = d < NODE_SNAP
-    with np.errstate(divide="ignore"):
-        w = d**-power
-    on_node = snapped.any(axis=-1)
-    # exact-at-node rule beats the weight blow-up at zero distance
-    nearest = np.argmax(snapped, axis=-1)[on_node]
-    w_off = w[~on_node]
-    return on_node, nearest, w_off, w_off.sum(axis=-1)
-
-
-def _idw_grid(weights: tuple, vals: np.ndarray) -> np.ndarray:
-    """One frame's grid: the weighted mean of node values at every cell."""
-    on_node, nearest, w_off, wsum = weights
-    grid = np.empty(on_node.shape)
-    grid[on_node] = vals[nearest]
-    grid[~on_node] = (w_off * vals).sum(axis=-1) / wsum
-    return grid
 
 
 def _node_tracks(
@@ -129,6 +56,12 @@ def render_run(
 ) -> Path:
     """Write one JSON frame of eta values per selected timestamp plus a manifest.
 
+    A frame is a grid_size x grid_size lattice over the layout's bounding
+    box. A cell within NODE_SNAP of a node takes that node's value exactly;
+    every other cell is the mean of the node values weighted by
+    distance**-power. The weights depend on node positions only, so they
+    are computed once and each frame is one weighted sum.
+
     Returns the manifest path. The manifest is written last, so its
     presence marks a complete run.
     """
@@ -145,13 +78,31 @@ def render_run(
         function = functions[0]
     elif function not in functions:
         raise ConfigurationError(f"mapgen: series has no function {function!r}")
-    bounds = layout_bounds(layout)
+    xs, ys = zip(*layout.values())
+    bounds = (min(xs), max(xs), min(ys), max(ys))
     tracks = _node_tracks(series, function, partition, layout)
     if not tracks:
         raise ConfigurationError(
             "mapgen: no renderable node values; regions and layout do not overlap"
         )
-    weights = _idw_weights([layout[nid] for nid in tracks], bounds, grid_size, power)
+    if grid_size < 2:
+        raise ContractError(f"mapgen: grid size must be >= 2, got {grid_size}")
+    if not (np.isfinite(power) and power > 0):  # d**-nan and d**-inf make every cell NaN
+        raise ParameterError(
+            f"mapgen: IDW power (--power) must be finite and positive, got {power}"
+        )
+    pts = np.array([layout[nid] for nid in tracks], dtype=float)
+    xmin, xmax, ymin, ymax = bounds
+    cx, cy = np.meshgrid(
+        np.linspace(xmin, xmax, grid_size), np.linspace(ymin, ymax, grid_size), indexing="xy"
+    )
+    d = np.hypot(cx[..., None] - pts[:, 0], cy[..., None] - pts[:, 1])
+    snapped = d < NODE_SNAP
+    on_node = snapped.any(axis=-1)
+    # exact-at-node rule beats the weight blow-up at zero distance
+    nearest = np.argmax(snapped, axis=-1)[on_node]
+    w_off = d[~on_node] ** -power  # every off-node distance is >= NODE_SNAP
+    wsum = w_off.sum(axis=-1)
     etas = np.array(list(tracks.values()), dtype=float)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -159,7 +110,10 @@ def render_run(
     names = []
     for index in range(0, len(series.t), frame_stride):
         t = int(series.t[index])
-        grid = _idw_grid(weights, etas[:, index])
+        vals = etas[:, index]
+        grid = np.empty(on_node.shape)
+        grid[on_node] = vals[nearest]
+        grid[~on_node] = (w_off * vals).sum(axis=-1) / wsum
         name = f"frame_{t:06d}.json"
         (out_dir / name).write_text(
             json.dumps(

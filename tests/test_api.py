@@ -1,0 +1,32 @@
+"""The public API holds no function that only unit tests reach."""
+
+import ast
+import inspect
+from pathlib import Path
+
+import rmtdetect
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _referenced_names(path: Path) -> set:
+    """Every name the file calls, and every attribute it reads."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            names.add(node.func.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_function_has_a_caller_outside_the_unit_tests():
+    # the package itself (not its re-exports), the benchmark and the
+    # acceptance criteria; a def or an import is no reference
+    files = [p for p in (ROOT / "src" / "rmtdetect").glob("*.py") if p.name != "__init__.py"]
+    files += (ROOT / "bench").rglob("*.py")
+    files.append(ROOT / "tests" / "test_acceptance.py")
+    used = set().union(*map(_referenced_names, files))
+    functions = [n for n in rmtdetect.__all__ if inspect.isfunction(getattr(rmtdetect, n))]
+    assert len(functions) > 20
+    assert [n for n in functions if n not in used] == []

@@ -104,6 +104,14 @@ def test_theory_needs_fewer_nodes_than_samples(capsys):
     assert sorted(_theory_table(out)) == ["DET", "LRF", "MSR", "T2", "T3", "T4"]
 
 
+@pytest.mark.parametrize("n, t", [("-1", "0"), ("0", "5")])
+def test_theory_needs_at_least_one_node(capsys, n, t):
+    # --N -1 --T 0 ended in ZeroDivisionError; --N 0 named c, not the flag
+    code, out, err = run_cli(capsys, "theory", "--N", n, "--T", t)
+    assert code == 1 and out == ""
+    assert "error [ParameterError]" in err and f"--N >= 1, got {n}" in err
+
+
 @pytest.mark.parametrize("command", ["theory", "analyze"])
 def test_kappa4_below_minus_two_is_an_input_error(small_run, tmp_path, capsys, command):
     # no distribution has excess kurtosis below -2; theory printed negative
@@ -326,6 +334,85 @@ def test_empty_functions_is_an_input_error(small_run, tmp_path, capsys, function
                            "--functions", functions, "--out", str(out))
     assert code == 1
     assert "error [ParameterError]" in err and "--functions" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "functions, named, partitioned",
+    [("MSR,MSR", "MSR", False), ("T2, T2", "T2", False), ("LRF,LRF", "LRF", True)],
+)
+def test_repeated_function_is_an_input_error(small_run, tmp_path, capsys,
+                                             functions, named, partitioned):
+    # a repeated name doubled that function's tau array: a broadcast traceback
+    root, data, _ = small_run
+    out = tmp_path / "out"
+    partition = ["--partition", str(root / "partition.json")] if partitioned else []
+    code, _, err = run_cli(capsys, "analyze", "--input", str(data), *partition, "--T", "60",
+                           "--functions", functions, "--out", str(out))
+    assert code == 1
+    assert "error [ParameterError]" in err and "--functions" in err
+    assert f"name {named} twice" in err
+    assert not out.exists()
+
+
+INDICATOR_HEADER = "t,region,function,tau,eta,flag\r\n"
+
+
+UNREADABLE = [
+    ("report-without-indicator", "MalformedInputError", "indicator.csv: no such file"),
+    ("indicator-without-region", "MalformedInputError", "lacks the columns ['region']"),
+    ("indicator-bad-float", "MalformedInputError", "indicator.csv row 3"),
+    ("indicator-short-row", "MalformedInputError", "indicator.csv row 2"),
+    ("non-utf8-input", "MalformedInputError", "bad.bin row 3 is not UTF-8"),
+    ("non-utf8-partition", "MalformedInputError", "bad.bin row 3 is not UTF-8"),
+    ("non-utf8-config", "ConfigurationError", "bad.bin row 3 is not UTF-8"),
+    ("non-utf8-scenario", "ConfigurationError", "bad.bin row 3 is not UTF-8"),
+    ("non-utf8-pca-input", "MalformedInputError", "bad.bin row 3 is not UTF-8"),
+    ("oversized-cell-input", "MalformedInputError", "huge.csv row 3: field larger"),
+    ("directory-input", "MalformedInputError", "somedir cannot be read"),
+    ("directory-partition", "MalformedInputError", "somedir cannot be read"),
+]
+
+
+@pytest.mark.parametrize("case, error, named", UNREADABLE, ids=[c for c, _, _ in UNREADABLE])
+def test_unreadable_or_malformed_file_is_an_input_error_naming_it(small_run, tmp_path, capsys,
+                                                                  case, error, named):
+    # each of these ended in a traceback: FileNotFoundError, KeyError,
+    # ValueError, TypeError, UnicodeDecodeError, csv.Error or IsADirectoryError
+    root, data, _ = small_run
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"node_id,0,1\nbus1,1.0,2.0\n\xff\xfe,3.0,4.0\n")
+    huge = tmp_path / "huge.csv"   # one cell past the csv module's field size limit
+    huge.write_text("node_id,0,1\nbus1,1.0,2.0\nbus2," + "1" * 200_000 + ",3.0\n")
+    directory = tmp_path / "somedir"
+    directory.mkdir()
+    report = tmp_path / "report"
+    report.mkdir()
+    indicator = {
+        "indicator-without-region": "t,function,tau,eta,flag\r\n0,MSR,1.0,1.0,normal\r\n",
+        "indicator-bad-float":
+            INDICATOR_HEADER + "0,bus1,MSR,1.0,1.0,normal\r\n0,bus7,MSR,2.0,x,normal\r\n",
+        "indicator-short-row": INDICATOR_HEADER + "0,bus1,MSR,1.0\r\n",
+    }
+    if case in indicator:
+        (report / "indicator.csv").write_text(indicator[case])
+    out = tmp_path / "out"
+    partition = str(root / "partition.json")
+    analyze = ["analyze", "--T", "60", "--out", str(out)]
+    argv = {
+        "non-utf8-input": [*analyze, "--input", str(bad)],
+        "non-utf8-partition": [*analyze, "--input", str(data), "--partition", str(bad)],
+        "non-utf8-config": [*analyze, "--input", str(data), "--config", str(bad)],
+        "non-utf8-scenario": ["simulate", "--scenario", str(bad), "--out", str(out / "d.csv")],
+        "non-utf8-pca-input":
+            ["pca-baseline", "--input", str(bad), "--train", "0:100", "--out", str(out)],
+        "oversized-cell-input": [*analyze, "--input", str(huge)],
+        "directory-input": [*analyze, "--input", str(directory)],
+        "directory-partition": [*analyze, "--input", str(data), "--partition", str(directory)],
+    }.get(case, ["mapframes", "--report", str(report), "--layout", partition, "--out", str(out)])
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 1 and stdout == ""
+    assert f"error [{error}]" in err and named in err
     assert not out.exists()
 
 

@@ -1,63 +1,16 @@
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rmtdetect import frame, render_run
-from rmtdetect.mapgen import layout_bounds
+from rmtdetect import render_run
 from rmtdetect.detect import FunctionSeries, IndicatorSeries
 from rmtdetect.errors import ConfigurationError, ContractError, ParameterError
 from rmtdetect.ingest import RegionPartition
-
-
-def test_single_node_gives_constant_grid():
-    f = frame({"a": 3.5}, {"a": (1.0, 2.0)}, grid_size=8)
-    np.testing.assert_allclose(f.grid, 3.5)
-
-
-def test_cell_coincident_with_node_is_exact():
-    layout = {"a": (0.0, 0.0), "b": (1.0, 1.0)}
-    f = frame({"a": 10.0, "b": -4.0}, layout, grid_size=5)
-    assert f.grid[0, 0] == 10.0   # cell center lands exactly on node a
-    assert f.grid[-1, -1] == -4.0
-
-
-def test_two_node_interpolation_bounded():
-    layout = {"a": (0.0, 0.0), "b": (2.0, 0.0)}
-    f = frame({"a": 0.0, "b": 1.0}, layout, grid_size=16)
-    assert np.all(f.grid >= 0.0) and np.all(f.grid <= 1.0)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    vals=st.lists(st.floats(min_value=-50, max_value=50), min_size=2, max_size=6),
-    power=st.floats(min_value=0.5, max_value=4.0),
-)
-def test_idw_boundedness_property(vals, power):
-    rng = np.random.default_rng(len(vals))
-    layout = {f"n{i}": tuple(rng.uniform(0, 10, 2)) for i in range(len(vals))}
-    values = {f"n{i}": v for i, v in enumerate(vals)}
-    f = frame(values, layout, grid_size=12, power=power)
-    assert f.grid.min() >= min(vals) - 1e-9
-    assert f.grid.max() <= max(vals) + 1e-9
-
-
-def test_idw_smooth_away_from_nodes():
-    layout = {"a": (0.0, 0.0), "b": (10.0, 10.0), "c": (0.0, 10.0)}
-    f = frame({"a": 0.0, "b": 1.0, "c": 0.5}, layout, grid_size=128)
-    dx = np.abs(np.diff(f.grid, axis=0)).max()
-    dy = np.abs(np.diff(f.grid, axis=1)).max()
-    assert max(dx, dy) < 0.15  # no jumps between adjacent fine-grid cells
-
-
-def test_frame_errors():
-    with pytest.raises(ContractError):
-        frame({}, {"a": (0, 0)})
-    with pytest.raises(ContractError):
-        frame({"zz": 1.0}, {"a": (0, 0)})
-    with pytest.raises(ContractError):
-        frame({"a": 1.0}, {"a": (0, 0)}, grid_size=1)
 
 
 def _eta_series(etas_by_region, t):
@@ -69,6 +22,72 @@ def _eta_series(etas_by_region, t):
             e_eta=1.0, e_flag=1.0, d_flag=1.0, reference="theoretical",
         )
     return IndicatorSeries(t=np.asarray(t), data=data, meta={})
+
+
+def _grid(values, layout, **kwargs):
+    """The grid render_run draws for one timestamp of node-granular tracks
+    holding `values`, over `layout`."""
+    series = _eta_series({nid: [v] for nid, v in values.items()}, [0])
+    with tempfile.TemporaryDirectory() as d:
+        render_run(series, layout, d, **kwargs)
+        return np.array(json.loads((Path(d) / "frame_000000.json").read_text())["grid"])
+
+
+def test_single_node_gives_constant_grid():
+    grid = _grid({"a": 3.5}, {"a": (1.0, 2.0)}, grid_size=8)
+    np.testing.assert_allclose(grid, 3.5)
+
+
+def test_cell_coincident_with_node_is_exact():
+    layout = {"a": (0.0, 0.0), "b": (1.0, 1.0)}
+    grid = _grid({"a": 10.0, "b": -4.0}, layout, grid_size=5)
+    assert grid[0, 0] == 10.0   # cell center lands exactly on node a
+    assert grid[-1, -1] == -4.0
+
+
+def test_two_node_interpolation_bounded():
+    layout = {"a": (0.0, 0.0), "b": (2.0, 0.0)}
+    grid = _grid({"a": 0.0, "b": 1.0}, layout, grid_size=16)
+    assert np.all(grid >= 0.0) and np.all(grid <= 1.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    vals=st.lists(st.floats(min_value=-50, max_value=50), min_size=2, max_size=6),
+    power=st.floats(min_value=0.5, max_value=4.0),
+)
+def test_idw_boundedness_property(vals, power):
+    rng = np.random.default_rng(len(vals))
+    layout = {f"n{i}": tuple(rng.uniform(0, 10, 2)) for i in range(len(vals))}
+    values = {f"n{i}": v for i, v in enumerate(vals)}
+    grid = _grid(values, layout, grid_size=12, power=power)
+    assert grid.min() >= min(vals) - 1e-9
+    assert grid.max() <= max(vals) + 1e-9
+
+
+def test_idw_smooth_away_from_nodes():
+    layout = {"a": (0.0, 0.0), "b": (10.0, 10.0), "c": (0.0, 10.0)}
+    grid = _grid({"a": 0.0, "b": 1.0, "c": 0.5}, layout, grid_size=128)
+    dx = np.abs(np.diff(grid, axis=0)).max()
+    dy = np.abs(np.diff(grid, axis=1)).max()
+    assert max(dx, dy) < 0.15  # no jumps between adjacent fine-grid cells
+
+
+def test_frame_errors(tmp_path):
+    series = _eta_series({"a": [1.0], "b": [2.0]}, [0])
+    for grid_size in (1, 0):
+        with pytest.raises(ContractError, match="grid size"):
+            render_run(series, {"a": (0, 0), "b": (1, 0)}, tmp_path / "f", grid_size=grid_size)
+    assert not (tmp_path / "f").exists()
+
+
+@pytest.mark.parametrize("power", [np.nan, np.inf, 0.0, -2.0])
+def test_frame_rejects_a_power_that_is_not_finite_and_positive(tmp_path, power):
+    series = _eta_series({"a": [1.0], "b": [2.0]}, [0])
+    with pytest.raises(ParameterError, match=r"--power"):
+        render_run(series, {"a": (0.0, 0.0), "b": (1.0, 0.0)}, tmp_path / "f", grid_size=4,
+                   power=power)
+    assert not (tmp_path / "f").exists()
 
 
 def _two_region_setup():
@@ -141,13 +160,23 @@ def test_render_run_errors(tmp_path):
         render_run(series, lonely.layout, tmp_path / "f", partition=lonely)
 
 
-def test_render_run_frames_match_frame_per_timestamp(tmp_path):
-    # every frame of a run shares one set of IDW weights; each must equal,
-    # byte for byte, the frame() call for its timestamp alone
+def _idw_cell(x, y, points, power):
+    """One cell of an IDW grid, computed on its own: the value of a node
+    within 1e-9, else the distance**-power weighted mean of all nodes."""
+    for (px, py), v in points:
+        if math.hypot(x - px, y - py) < 1e-9:
+            return v
+    weights = [(math.hypot(x - px, y - py) ** -power, v) for (px, py), v in points]
+    return sum(w * v for w, v in weights) / sum(w for w, _ in weights)
+
+
+def test_render_run_frames_match_brute_force_idw(tmp_path):
+    # every frame of a run shares one set of IDW weights; each must equal a
+    # per-cell IDW over that timestamp's node values, in the layout's bounds
     rng = np.random.default_rng(5)
     layout = {f"n{i}": tuple(rng.uniform(0, 10, 2)) for i in range(1, 7)}
     layout["n0"] = (0.0, 0.0)      # on the grid's corner cell: snaps
-    layout["n7"] = (10.0, 10.0)
+    layout["n7"] = (10.0, 10.0)    # no track, but it widens the bounds
     part = RegionPartition({"A": ("n0", "n1", "n2"), "B": ("n3", "n4")}, layout=layout)
     t = np.arange(200, 207)
     regions = {"A": rng.uniform(0.5, 1.5, 7), "B": rng.uniform(0.5, 1.5, 7),
@@ -158,18 +187,21 @@ def test_render_run_frames_match_frame_per_timestamp(tmp_path):
                           grid_size=9, power=1.5)
     names = json.loads(manifest.read_text())["frames"]
     assert names == [f"frame_{t[i]:06d}.json" for i in range(0, 7, 2)]
+    xs, ys = [x for x, _ in layout.values()], [y for _, y in layout.values()]
+    bounds = [min(xs), max(xs), min(ys), max(ys)]
     for name, index in zip(names, range(0, 7, 2)):
-        values = {}
-        for (region, _), fs in series.data.items():
-            for nid in part.regions.get(region, (region,)):
-                values[nid] = float(fs.eta[index])
-        f = frame(values, layout, grid_size=9, power=1.5, bounds=layout_bounds(layout), t=t[index])
-        expected = json.dumps({"t": f.t, "bounds": list(f.bounds), "quantity": "eta",
-                               "grid": [[float(v) for v in row] for row in f.grid]})
-        assert (tmp_path / "f" / name).read_text() == expected
-
-
-@pytest.mark.parametrize("power", [np.nan, np.inf, 0.0, -2.0])
-def test_frame_rejects_a_power_that_is_not_finite_and_positive(power):
-    with pytest.raises(ParameterError, match=r"--power"):
-        frame({"a": 1.0, "b": 2.0}, {"a": (0.0, 0.0), "b": (1.0, 0.0)}, grid_size=4, power=power)
+        points = [
+            (layout[nid], float(fs.eta[index]))
+            for (region, _), fs in series.data.items()
+            for nid in part.regions.get(region, (region,))
+        ]
+        expected = [
+            [_idw_cell(bounds[0] + (bounds[1] - bounds[0]) * ix / 8,
+                       bounds[2] + (bounds[3] - bounds[2]) * iy / 8, points, 1.5)
+             for ix in range(9)]
+            for iy in range(9)
+        ]
+        got = json.loads((tmp_path / "f" / name).read_text())
+        assert (got["t"], got["bounds"], got["quantity"]) == (t[index], bounds, "eta")
+        assert got["grid"][0][0] == points[0][1]   # n0's cell takes its value exactly
+        np.testing.assert_allclose(got["grid"], expected, rtol=1e-12, atol=0)
