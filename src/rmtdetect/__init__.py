@@ -34,7 +34,6 @@ from .les import (
 from .mapgen import render_run
 from .pca import PilotModel, residual_series, train
 from .rmm import (
-    CovarianceMatrix,
     RingProduct,
     StandardizedMatrix,
     covariance,

@@ -28,7 +28,7 @@ import csv
 import io
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -172,20 +172,7 @@ class EventReport:
     meta: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "events": [
-                {
-                    "region": e.region,
-                    "function": e.function,
-                    "start_t": e.start_t,
-                    "end_t": e.end_t,
-                    "peak_sigma": e.peak_sigma,
-                    "direction": e.direction,
-                }
-                for e in self.events
-            ],
-            "meta": self.meta,
-        }
+        return {"events": [asdict(e) for e in self.events], "meta": self.meta}
 
 
 # ---------------------------------------------------------------------------

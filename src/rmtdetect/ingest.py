@@ -164,7 +164,7 @@ def load_csv(path, policy: str = "error") -> DataSource:
         raise MalformedInputError(f"ingest: {path} is empty") from None
     try:
         timestamps = [int(float(x)) for x in header[1:]]
-    except ValueError:
+    except (ValueError, OverflowError):  # nan, inf and 1e400 have no int
         raise MalformedInputError(f"ingest: {path} header is not numeric timestamps") from None
     node_ids = []
     rows = []

@@ -55,7 +55,6 @@ from .rmm import (  # noqa: F401
 from .rng import SeedLike, as_generator, child, derived_seed
 from .spectral import (
     MarchenkoPastur,
-    ReferenceDensity,
     RingLaw,
     _converge,
     _covariance_floor,
@@ -258,8 +257,9 @@ def map_spectra(
     return ring, cov
 
 
-def lln_expectation(f: TestFunction, d: ReferenceDensity, N: int) -> float:
-    """Law-of-large-numbers limit: N * integral of phi against d.
+def lln_expectation(f: TestFunction, d, N: int) -> float:
+    """Law-of-large-numbers limit: N * integral of phi against the law d
+    (RingLaw or MarchenkoPastur).
 
     MSR returns the plain integral (no N factor), matching its averaged
     convention.
@@ -296,7 +296,8 @@ def msr_moments(c: float, L: int = 1) -> TheoreticalMoments:
 def clt_variance(f: TestFunction, c: float, kappa4: float = 0.0) -> float:
     """Fluctuation variance of a covariance LES for i.i.d. entries.
 
-    With zeta(theta) = 1 + 1/c + (2/sqrt(c)) sin(theta) and psi the divided
+    With zeta(theta) = 1 + 1/c + (2/sqrt(c)) sin(theta) (the law's own
+    substitution, MarchenkoPastur._zeta at sigma2 = 1) and psi the divided
     difference of phi o zeta,
 
         V = (2 / (c pi^2)) double-int psi^2 (1 - sin t1 sin t2) dt1 dt2
@@ -313,14 +314,11 @@ def clt_variance(f: TestFunction, c: float, kappa4: float = 0.0) -> float:
     if f.averaged:
         raise ContractError("les: clt_variance covers covariance LESs, not the averaged MSR")
 
-    A = 1.0 + 1.0 / c
-    B = 2.0 / np.sqrt(c)
-
     def total(n):
         x, w = _leggauss(n)
         th = 0.5 * np.pi * x
         wq = 0.5 * np.pi * w
-        z = A + B * np.sin(th)
+        z = law._zeta(th)
         fz = f.phi(z)
         dz = np.subtract.outer(z, z)
         dth = np.abs(np.subtract.outer(th, th))

@@ -81,7 +81,8 @@ def train(
     m_prime: int,
     m: Optional[int] = None,
 ) -> PilotModel:
-    """Fit the pilot regression on the half-open sample range [start, end).
+    """Fit the pilot regression on the half-open sample range [start, end),
+    which must hold more than m_prime samples.
 
     m defaults to the number of eigenvalues needed to capture
     VARIANCE_SHARE of the spectrum's mass.
@@ -89,9 +90,12 @@ def train(
     lo, hi = train_range
     if not 0 <= lo < hi <= src.t:
         raise ParameterError(f"pca: training range [{lo}, {hi}) outside 0..{src.t}")
-    if hi - lo < m_prime:
+    if hi - lo <= m_prime:
+        # with m' samples the pilots fit every node exactly: each training
+        # residual is 0 and nearly every later sample would flag
         raise ParameterError(
-            f"pca: training range holds {hi - lo} samples; need at least m'={m_prime}"
+            f"pca: training range (--train) holds {hi - lo} samples; need more than "
+            f"m'={m_prime}"
         )
     y = src.values[:, lo:hi].T  # time x nodes
     n_nodes = y.shape[1]

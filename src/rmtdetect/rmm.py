@@ -81,21 +81,6 @@ class RingProduct:
     L: int
 
 
-@dataclass(frozen=True)
-class CovarianceMatrix:
-    """Hermitian covariance M = XX^H/N of a standardized window."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ShapeError(f"rmm: covariance must be square, got {v.shape}")
-        scale = max(1.0, float(np.abs(v).max()))
-        if np.abs(v - v.conj().T).max() > 1e-12 * scale:
-            raise ShapeError("rmm: covariance matrix is not Hermitian")
-
-
 def _labels(names, rows: np.ndarray) -> list:
     """Node ids of the given rows, or the row indices (plain ints) without names."""
     return rows.tolist() if names is None else [names[i] for i in rows]
@@ -248,8 +233,9 @@ def ring_product(windows: Sequence[StandardizedMatrix], seed: SeedLike) -> RingP
     return RingProduct(z, L=len(windows))
 
 
-def covariance(x: StandardizedMatrix, convention: str = "M") -> CovarianceMatrix:
-    """Covariance M = XX^H/N, symmetrized before return.
+def covariance(x: StandardizedMatrix, convention: str = "M") -> np.ndarray:
+    """Covariance M = XX^H/N as an array, formed as (h + h^H) / 2 / N for
+    h = XX^H and so exactly Hermitian.
 
     "M" is the only convention; the argument stays so callers name it.
     """
@@ -257,5 +243,5 @@ def covariance(x: StandardizedMatrix, convention: str = "M") -> CovarianceMatrix
         raise ParameterError(f"rmm: unknown covariance convention {convention!r}; only 'M'")
     h = _symmetric_gram(x.values)
     h /= x.N
-    return CovarianceMatrix(h)
+    return h
 

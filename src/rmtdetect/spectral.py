@@ -16,7 +16,7 @@ square-root endpoint singularities and leaves a smooth integrand on
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .errors import (
     NumericalFailureError,
     ParameterError,
 )
-from .rmm import CovarianceMatrix
 from .rng import SeedLike, as_generator
 
 _leggauss_cache: dict = {}
@@ -101,7 +100,7 @@ def _covariance_floor(lam: np.ndarray) -> np.ndarray:
 
 
 def eigen_hermitian(
-    m: Union[CovarianceMatrix, np.ndarray],
+    m: np.ndarray,
     kind: str = "covariance",
     T: Optional[int] = None,
     c: Optional[float] = None,
@@ -112,7 +111,7 @@ def eigen_hermitian(
     are clamped to zero; anything more negative is a genuine invariant
     violation.
     """
-    a = m.values if isinstance(m, CovarianceMatrix) else np.asarray(m)
+    a = np.asarray(m)
     lam = _eigvalsh(a)
     if kind == "covariance":
         lam = _covariance_floor(lam)
@@ -141,24 +140,7 @@ def sample_goe(n: int, omega2: float = 1.0, seed: SeedLike = None) -> np.ndarray
 
 
 @dataclass(frozen=True)
-class ReferenceDensity:
-    """Limiting law with support and CDF."""
-
-    kind: str
-
-    def support(self) -> Tuple[float, float]:
-        raise NotImplementedError
-
-    def cdf(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def mean_phi(self, phi: Callable, rtol: float = 1e-8) -> float:
-        """Integral of phi against the density."""
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class RingLaw(ReferenceDensity):
+class RingLaw:
     """Limiting law of the L-fold ring product.
 
     The planar density over the complex plane is
@@ -167,9 +149,9 @@ class RingLaw(ReferenceDensity):
     2 pi r rho(r), exposed as radial_pdf; pdf() evaluates the planar form.
     """
 
+    kind: str = field(default="ring", init=False)
     c: float = 1.0
     L: int = 1
-    kind: str = field(default="ring", init=False)
 
     def __post_init__(self):
         if not 0 < self.c <= 1:
@@ -218,7 +200,7 @@ class RingLaw(ReferenceDensity):
 
 
 @dataclass(frozen=True)
-class MarchenkoPastur(ReferenceDensity):
+class MarchenkoPastur:
     """Covariance law of M = XX^H/N ("mp2"), support sigma2 (1 +- 1/sqrt(c))^2.
 
     "mp2" is the only kind; the field stays so callers name the law.
@@ -285,11 +267,11 @@ class MarchenkoPastur(ReferenceDensity):
 
 
 @dataclass(frozen=True)
-class Semicircle(ReferenceDensity):
+class Semicircle:
     """Semicircle law of parameter omega2, supported on [-2 sqrt(omega2), 2 sqrt(omega2)]."""
 
-    omega2: float = 1.0
     kind: str = field(default="semicircle", init=False)
+    omega2: float = 1.0
 
     def __post_init__(self):
         if self.omega2 <= 0:
@@ -325,8 +307,9 @@ _KIND_MATCH = {
 }
 
 
-def esd_distance(s: SpectrumSet, d: ReferenceDensity) -> float:
-    """Kolmogorov sup-distance between the empirical spectral CDF and d.
+def esd_distance(s: SpectrumSet, d) -> float:
+    """Kolmogorov sup-distance between the empirical spectral CDF and the
+    law d (RingLaw, MarchenkoPastur or Semicircle).
 
     Ring spectra are compared through |lambda| against the radial law.
     """

@@ -30,3 +30,25 @@ def test_every_public_function_has_a_caller_outside_the_unit_tests():
     functions = [n for n in rmtdetect.__all__ if inspect.isfunction(getattr(rmtdetect, n))]
     assert len(functions) > 20
     assert [n for n in functions if n not in used] == []
+
+
+def _package_imports(path: Path) -> set:
+    """The package modules the file imports, relative or absolute."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level > 0 and node.module is None:  # from . import x
+                found.update(alias.name for alias in node.names)
+            elif node.level > 0:
+                found.add(node.module.split(".")[0])
+            elif node.module.split(".")[0] == "rmtdetect":
+                found.add(node.module.partition(".")[2] or "rmtdetect")
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.partition(".")[2] or "rmtdetect" for alias in node.names
+                         if alias.name.split(".")[0] == "rmtdetect")
+    return found
+
+
+def test_spectral_imports_only_errors_and_rng_from_the_package():
+    # the laws and eigensolvers sit below the random-matrix models in rmm
+    assert _package_imports(ROOT / "src" / "rmtdetect" / "spectral.py") <= {"errors", "rng"}

@@ -603,3 +603,56 @@ def test_bad_reference_argument(small_run, tmp_path, capsys):
         "--reference", "calib:10", "--out", str(tmp_path / "x"),
     )
     assert code == 1 and "calib" in err
+
+
+INPUT_EXITS = [
+    ("calib-under-two-windows", ["analyze", "--reference", "calib:200:100"], None,
+     "ConfigurationError", "calibration range holds 0 windows; need at least 2"),
+    ("calib-not-integers", ["analyze", "--reference", "calib:a:b"], None,
+     "ConfigurationError", "bad calibration range in 'calib:a:b'"),
+    ("unknown-reference", ["analyze", "--reference", "bogus"], None,
+     "ConfigurationError", "unknown reference mode 'bogus'"),
+    ("env-seed-not-integer", ["analyze"], "abc",
+     "ConfigurationError", "$RMT_EED_SEED must be an integer, got 'abc'"),
+    ("train-three-fields", ["pca-baseline", "--train", "1:2:3"], None,
+     "ConfigurationError", "bad training range '1:2:3'"),
+    ("train-no-longer-than-m-prime", ["pca-baseline", "--train", "0:3"], None,
+     "ParameterError", "training range (--train) holds 3 samples; need more than m'=3"),
+    ("inf-header-analyze", ["analyze", "--input", "inf.csv"], None,
+     "MalformedInputError", "inf.csv header is not numeric timestamps"),
+    ("inf-header-pca", ["pca-baseline", "--train", "0:100", "--input", "inf.csv"], None,
+     "MalformedInputError", "inf.csv header is not numeric timestamps"),
+    ("layout-without-coordinates", ["mapframes", "--layout", "regions.json"], None,
+     "ConfigurationError", "regions.json carries no layout coordinates"),
+    ("config-without-subcommand", ["--config", "cfg.json"], None,
+     "ConfigurationError", "--config requires a subcommand"),
+]
+
+
+@pytest.mark.parametrize("argv, env_seed, error, named", [c[1:] for c in INPUT_EXITS],
+                         ids=[c[0] for c in INPUT_EXITS])
+def test_input_exits_name_their_cause(small_run, tmp_path, capsys, monkeypatch,
+                                      argv, env_seed, error, named):
+    # --train 0:3 fitted three pilots exactly and flagged nearly every row;
+    # an inf header cell ended in an OverflowError traceback
+    _, data, report = small_run
+    (tmp_path / "inf.csv").write_text("node_id,0,inf\nbus1,1.0,2.0\nbus2,3.0,4.0\n")
+    (tmp_path / "regions.json").write_text('{"A": ["bus1"]}')
+    (tmp_path / "cfg.json").write_text("{}")
+    if env_seed is not None:
+        monkeypatch.setenv("RMT_EED_SEED", env_seed)
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    # the case's own flags come last, so they override these
+    defaults = {
+        "analyze": ["--input", str(data), "--T", "60", "--functions", "MSR", "--mc-reps", "20"],
+        "pca-baseline": ["--input", str(data)],
+        "mapframes": ["--report", str(report)],
+    }
+    command, *flags = argv
+    if command in defaults:
+        flags = [*defaults[command], *flags, "--out", str(out)]
+    code, stdout, err = run_cli(capsys, command, *flags)
+    assert code == 1 and stdout == ""
+    assert f"error [{error}]" in err and named in err
+    assert not out.exists()

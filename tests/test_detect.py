@@ -30,6 +30,7 @@ from rmtdetect.errors import (
     ConfigurationError,
     ContractError,
     DegenerateRowError,
+    MalformedInputError,
     NumericalFailureError,
     ParameterError,
 )
@@ -207,6 +208,15 @@ def test_unknown_degenerate_policy_names_the_flag():
     with pytest.raises(ParameterError, match=r"\(--degenerate\) must be one of "
                        r"\['error', 'jitter'\], got 'bogus'"):
         small_cfg(degenerate_policy="bogus")
+
+
+@pytest.mark.parametrize("setting", [{"gap_tolerance": -1}, {"min_duration": 0}],
+                         ids=["negative-gap-tolerance", "zero-min-duration"])
+def test_event_settings_out_of_range_are_rejected(setting):
+    message = "gap tolerance must be >= 0 and min duration >= 1"
+    with pytest.raises(ParameterError, match=message) as info:
+        small_cfg(**setting)
+    assert info.value.exit_code == 1
 
 
 def test_pure_noise_flag_fraction_small():
@@ -516,6 +526,23 @@ def test_indicator_csv_roundtrip(tmp_path):
         np.testing.assert_allclose(back.data[key].tau, series.data[key].tau, rtol=1e-15)
         np.testing.assert_allclose(back.data[key].eta, series.data[key].eta, rtol=1e-15)
         np.testing.assert_array_equal(back.data[key].flag, series.data[key].flag)
+
+
+READ_INDICATOR_EXITS = [
+    ("header-only", "", "holds no indicator rows"),
+    ("timestamps-differ", "0,A,MSR,1.0,1.0,normal\r\n1,B,MSR,1.0,1.0,normal\r\n",
+     "inconsistent timestamps across tracks"),
+]
+
+
+@pytest.mark.parametrize("rows, named", [c[1:] for c in READ_INDICATOR_EXITS],
+                         ids=[c[0] for c in READ_INDICATOR_EXITS])
+def test_read_indicator_csv_input_exits(tmp_path, rows, named):
+    p = tmp_path / "indicator.csv"
+    p.write_text("t,region,function,tau,eta,flag\r\n" + rows)
+    with pytest.raises(MalformedInputError) as info:
+        read_indicator_csv(p)
+    assert info.value.exit_code == 1 and named in str(info.value)
 
 
 def test_events_json_schema(tmp_path):

@@ -217,6 +217,27 @@ def test_non_numeric_cell(tmp_path):
         load_csv(p)
 
 
+LOAD_CSV_EXITS = [
+    ("empty", "", "is empty"),
+    ("word-header", "node_id,0,one\na,1,2\n", "header is not numeric timestamps"),
+    # int(float(x)) raised OverflowError on these two, a traceback in the CLI
+    ("inf-header", "node_id,0,inf\na,1,2\n", "header is not numeric timestamps"),
+    ("overflowing-header", "node_id,0,1e400\na,1,2\n", "header is not numeric timestamps"),
+    ("wrong-cell-count", "node_id,0,1\na,1,2,3\n", "row 2: 3 cells, expected 2"),
+    ("blank-lines-only", "node_id,0,1\n\n\n", "has no data rows"),
+]
+
+
+@pytest.mark.parametrize("text, named", [c[1:] for c in LOAD_CSV_EXITS],
+                         ids=[c[0] for c in LOAD_CSV_EXITS])
+def test_load_csv_input_exits(tmp_path, text, named):
+    p = tmp_path / "d.csv"
+    p.write_text(text)
+    with pytest.raises(MalformedInputError) as info:
+        load_csv(p)
+    assert info.value.exit_code == 1 and named in str(info.value)
+
+
 def test_missing_file():
     with pytest.raises(MalformedInputError, match="no such file"):
         load_csv("/nonexistent/data.csv")
@@ -304,3 +325,11 @@ def test_partition_bad_json(tmp_path):
     p.write_text("not json")
     with pytest.raises(MalformedInputError):
         load_partition(p)
+
+
+def test_partition_with_no_regions_and_no_layout(tmp_path):
+    p = tmp_path / "regions.json"
+    p.write_text("{}")
+    with pytest.raises(MalformedInputError, match="defines no regions and no layout") as info:
+        load_partition(p)
+    assert info.value.exit_code == 1

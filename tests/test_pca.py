@@ -146,3 +146,14 @@ def test_m_prime_range_ends():
             train(src, (0, 40), m_prime=m_prime)
     for m_prime in (1, 5):
         assert len(train(src, (0, 40), m_prime=m_prime, m=5).nonpilot_ids) == 6 - m_prime
+
+
+def test_training_range_must_hold_more_samples_than_pilots():
+    # with m' samples the pilots fit every node exactly: all training
+    # residuals were 0 and nearly every later sample flagged
+    src, _ = factor_source()
+    for m_prime in (2, 3):
+        with pytest.raises(ParameterError, match=rf"--train\) holds {m_prime} samples; need "
+                           rf"more than m'={m_prime}$"):
+            train(src, (10, 10 + m_prime), m_prime=m_prime, m=m_prime)
+    assert train(src, (0, 4), m_prime=3, m=3).train_range == (0, 4)

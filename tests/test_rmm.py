@@ -76,8 +76,8 @@ def test_row_permutation_permutes_output():
     np.testing.assert_allclose(
         standardize(x[perm]).values, standardize(x).values[perm], atol=1e-14
     )
-    ev = np.linalg.eigvalsh(covariance(standardize(x), "M").values)
-    ev_p = np.linalg.eigvalsh(covariance(standardize(x[perm]), "M").values)
+    ev = np.linalg.eigvalsh(covariance(standardize(x), "M"))
+    ev_p = np.linalg.eigvalsh(covariance(standardize(x[perm]), "M"))
     np.testing.assert_allclose(ev, ev_p, atol=1e-10)
 
 
@@ -203,25 +203,25 @@ def test_covariance_of_orthogonal_rows_is_identity():
     # XX^H = T I for these rows, so M = XX^H/N is the identity over c
     x = StandardizedMatrix(_orthogonal_unit_rows(6, 48))
     m = covariance(x, "M")
-    np.testing.assert_allclose(m.values * x.c, np.eye(6), atol=1e-10)
+    np.testing.assert_allclose(m * x.c, np.eye(6), atol=1e-10)
 
 
 def test_m_equals_s_over_c():
     x = standardize(_gauss(10, 40, 3))
     s = x.values @ x.values.T / x.T
-    m = covariance(x, "M").values
+    m = covariance(x, "M")
     np.testing.assert_allclose(m, s / x.c, atol=1e-12)
 
 
 def test_trace_m_equals_window_length():
     x = standardize(_gauss(17, 51, 6))
-    m = covariance(x, "M").values
+    m = covariance(x, "M")
     assert np.trace(m) == pytest.approx(x.T, rel=1e-8)
 
 
 def test_eigenvalue_sum_matches_trace():
     x = standardize(_gauss(9, 30, 12))
-    m = covariance(x, "M").values
+    m = covariance(x, "M")
     assert np.linalg.eigvalsh(m).sum() == pytest.approx(np.trace(m), rel=1e-8)
 
 
