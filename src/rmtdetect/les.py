@@ -332,7 +332,14 @@ def clt_variance(f: TestFunction, c: float, kappa4: float = 0.0) -> float:
         kernel = psi**2 * (1.0 - np.outer(s, s))
         term1 = 2.0 / (c * np.pi**2) * float(wq @ kernel @ wq)
         term2 = kappa4 / np.pi**2 * float(np.sum(wq * fz * s)) ** 2
-        return term1 + term2
+        v = term1 + term2
+        if not np.isfinite(v):
+            # inf - inf is NaN, so _converge would call this a slow quadrature
+            raise NumericalFailureError(
+                f"les: the fluctuation variance of {f.name} overflows float64 at c={c}, "
+                f"kappa4={kappa4}"
+            )
+        return v
 
     return _converge(total, 1e-7, start=64, cap=2048)
 

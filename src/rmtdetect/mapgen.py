@@ -96,13 +96,19 @@ def render_run(
     cx, cy = np.meshgrid(
         np.linspace(xmin, xmax, grid_size), np.linspace(ymin, ymax, grid_size), indexing="xy"
     )
-    d = np.hypot(cx[..., None] - pts[:, 0], cy[..., None] - pts[:, 1])
+    # At most two grid^2 x nodes float arrays live at once: the distances
+    # go into the x differences, and the weights replace the distances.
+    d = cx[..., None] - pts[:, 0]
+    np.hypot(d, cy[..., None] - pts[:, 1], out=d)
     snapped = d < NODE_SNAP
     on_node = snapped.any(axis=-1)
     # exact-at-node rule beats the weight blow-up at zero distance
     nearest = np.argmax(snapped, axis=-1)[on_node]
-    w_off = d[~on_node] ** -power  # every off-node distance is >= NODE_SNAP
+    w_off = d[~on_node]
+    del d, snapped
+    w_off **= -power  # every off-node distance is >= NODE_SNAP
     wsum = w_off.sum(axis=-1)
+    buf = np.empty_like(w_off)
     etas = np.array(list(tracks.values()), dtype=float)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -113,7 +119,7 @@ def render_run(
         vals = etas[:, index]
         grid = np.empty(on_node.shape)
         grid[on_node] = vals[nearest]
-        grid[~on_node] = (w_off * vals).sum(axis=-1) / wsum
+        grid[~on_node] = np.multiply(w_off, vals, out=buf).sum(axis=-1) / wsum
         name = f"frame_{t:06d}.json"
         (out_dir / name).write_text(
             json.dumps(

@@ -152,6 +152,6 @@ def residual_series(
     rows_b = [src.row_index(nid) for nid in model.pilot_ids]
     rows_c = [src.row_index(nid) for nid in model.nonpilot_ids]
     yb = src.values[rows_b, lo:hi]
-    yc = src.values[rows_c, lo:hi]
-    resid = np.abs(yc - model.coefficients.T @ yb)
-    return np.arange(lo, hi), resid
+    yc = src.values[rows_c, lo:hi]  # a list index copies, so yc can take the residuals
+    np.subtract(yc, model.coefficients.T @ yb, out=yc)
+    return np.arange(lo, hi), np.abs(yc, out=yc)

@@ -48,7 +48,13 @@ class Segment:
         if not 0.0 <= self.coupling <= 1.0:
             raise ParameterError(f"synth: coupling must lie in [0, 1], got {self.coupling}")
         if self.nodes is not None:
-            object.__setattr__(self, "nodes", tuple(int(i) for i in self.nodes))
+            nodes = tuple(int(i) for i in self.nodes)
+            repeated = [i for k, i in enumerate(nodes) if i in nodes[:k]]
+            if repeated:
+                raise ParameterError(
+                    f"synth: segment [{self.start}, {self.end}) lists node {repeated[0]} twice"
+                )
+            object.__setattr__(self, "nodes", nodes)
 
     def signal(self) -> np.ndarray:
         """Deterministic signal over the segment's own samples."""
@@ -97,22 +103,56 @@ def generate(sc: Scenario, seed: SeedLike = 0) -> DataSource:
     to the no-segment baseline.
     """
     rng = as_generator(seed)
-    noise = rng.standard_normal((sc.n, sc.t))
-    scale = np.full((sc.n, sc.t), sc.noise_std)
-    signal = np.zeros((sc.n, sc.t))
-    for seg in sc.segments:
-        cols = slice(seg.start, seg.end)
-        sig = seg.signal()
-        rows = slice(None) if seg.nodes is None else np.array(seg.nodes, dtype=int)
-        signal[rows, cols] += sig[None, :]
-        if seg.coupling > 0:
-            signal[:, cols] += seg.coupling * sig[None, :] / np.sqrt(sc.n)
-        if seg.kind == "collapse":
-            growth = np.exp(seg.rate * np.arange(seg.end - seg.start))
-            scale[rows, cols] *= growth[None, :]
-    # signal + scale * noise, in place: no n x t temporaries
-    values = np.add(signal, np.multiply(scale, noise, out=scale), out=signal)
+    # The draw becomes DataSource.values. Segments tile [0, t), so each
+    # segment turns its own column block into values in place, and no
+    # other n x t array is made.
+    values = rng.standard_normal((sc.n, sc.t))
+    if not sc.segments:
+        values *= sc.noise_std
+    with np.errstate(over="ignore", invalid="ignore"):
+        for seg in sc.segments:
+            _draw_segment(values[:, seg.start : seg.end], seg, sc)
     return DataSource(values, sc.node_ids(), tuple(range(sc.t)))
+
+
+def _draw_segment(block: np.ndarray, seg: Segment, sc: Scenario) -> None:
+    """Turn one segment's block of noise into `signal + scale * noise`.
+
+    scale is noise_std, times exp(rate * (t - start)) on a collapse's
+    affected rows; signal is built on zeros: the segment's signal on its
+    affected rows, then coupling * signal / sqrt(n) on every row.
+    """
+    sig = seg.signal()
+    hit_sig = 0.0 + sig  # on zeros, as the n x t signal was built
+    rest_sig = np.zeros(len(sig))
+    if seg.coupling > 0:
+        echo = seg.coupling * sig / np.sqrt(sc.n)
+        hit_sig += echo
+        rest_sig += echo
+    hit_scale = sc.noise_std
+    if seg.kind == "collapse":
+        hit_scale = sc.noise_std * np.exp(seg.rate * np.arange(len(sig)))
+    if seg.nodes is None:
+        block *= hit_scale
+        block += hit_sig
+        hit = block
+    else:
+        rows = list(seg.nodes)
+        hit = block[rows] * hit_scale  # a copy, taken before the block changes
+        hit += hit_sig
+        block *= sc.noise_std
+        block += rest_sig
+        block[rows] = hit
+    if not np.isfinite(hit).all():
+        detail = f"level {seg.level}"
+        if seg.kind == "ramp":
+            detail += f", slope {seg.slope}"
+        elif seg.kind == "collapse":
+            detail += f", rate {seg.rate}"
+        raise ParameterError(
+            f"synth: {seg.kind} segment [{seg.start}, {seg.end}) gives values beyond "
+            f"float64 ({detail})"
+        )
 
 
 def sample_gaussian_matrix(n: int, t: int, seed: SeedLike = 0) -> DataSource:

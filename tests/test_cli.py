@@ -68,6 +68,18 @@ def test_numerical_failure_exits_2(capsys):
     assert "NumericalFailureError" in err and "quadrature did not converge" in err
 
 
+def test_overflowing_fluctuation_variance_is_named_as_such(capsys):
+    # T3's and T4's variances pass float64's range at every node count; the
+    # quadrature check saw only inf - inf = NaN and blamed convergence
+    code, _, err = run_cli(capsys, "theory", "--N", "10", "--T", "400", "--L", "3",
+                           "--kappa4", "1e300")
+    assert code == 2
+    assert (
+        "error [NumericalFailureError]: les: the fluctuation variance of T3 overflows float64 "
+        "at c=0.025, kappa4=1e+300"
+    ) in err
+
+
 @pytest.mark.parametrize(
     "command, flag, value",
     [
@@ -207,6 +219,29 @@ def test_simulate_custom_scenario(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "simulate", "--scenario", str(sc_path), "--out", str(out))
     assert code == 0
     assert load_csv(out).n == 8
+
+
+@pytest.mark.parametrize(
+    "segment, named",
+    [
+        # exp(5 * 199) overflows: a bare RuntimeWarning, then a non-finite-cells error
+        ({"start": 200, "end": 400, "kind": "collapse", "rate": 5},
+         "collapse segment [200, 400) gives values beyond float64 (level 0.0, rate 5.0)"),
+        # a repeated node was applied once
+        ({"start": 200, "end": 400, "kind": "step", "level": 1, "nodes": [1, 1]},
+         "segment [200, 400) lists node 1 twice"),
+    ],
+)
+def test_scenario_segment_that_cannot_be_drawn_is_named(capsys, tmp_path, segment, named):
+    sc_path = tmp_path / "sc.json"
+    sc_path.write_text(json.dumps(
+        {"n": 4, "t": 400, "segments": [{"start": 0, "end": 200, "kind": "flat"}, segment]}
+    ))
+    out = tmp_path / "data.csv"
+    code, stdout, err = run_cli(capsys, "simulate", "--scenario", str(sc_path), "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert "error [ParameterError]" in err and named in err
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

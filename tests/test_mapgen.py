@@ -1,6 +1,7 @@
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -205,3 +206,20 @@ def test_render_run_frames_match_brute_force_idw(tmp_path):
         assert (got["t"], got["bounds"], got["quantity"]) == (t[index], bounds, "eta")
         assert got["grid"][0][0] == points[0][1]   # n0's cell takes its value exactly
         np.testing.assert_allclose(got["grid"], expected, rtol=1e-12, atol=0)
+
+
+def test_render_run_holds_at_most_two_weight_cubes(tmp_path):
+    # distances, weights and the per-frame product are each grid^2 x nodes
+    # floats; the distances are dropped once the weights are taken
+    rng = np.random.default_rng(3)
+    layout = {f"bus{i}": tuple(rng.uniform(0, 20, 2)) for i in range(118)}
+    series = _eta_series({nid: rng.uniform(0, 2, 3) for nid in layout}, [0, 1, 2])
+    cube = 64 * 64 * 118 * 8
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        render_run(series, layout, tmp_path / "f", grid_size=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * cube

@@ -157,3 +157,13 @@ def test_training_range_must_hold_more_samples_than_pilots():
                            rf"more than m'={m_prime}$"):
             train(src, (10, 10 + m_prime), m_prime=m_prime, m=m_prime)
     assert train(src, (0, 4), m_prime=3, m=3).train_range == (0, 4)
+
+
+def test_residual_series_matches_the_plain_expression_bit_for_bit():
+    src, _ = factor_source()
+    model = train(src, (0, 300), m_prime=3)
+    samples, resid = residual_series(model, src, (100, 550))
+    yb = src.values[[src.row_index(nid) for nid in model.pilot_ids], 100:550]
+    yc = src.values[[src.row_index(nid) for nid in model.nonpilot_ids], 100:550]
+    assert np.array_equal(samples, np.arange(100, 550))
+    assert resid.tobytes() == np.abs(yc - model.coefficients.T @ yb).tobytes()

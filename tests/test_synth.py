@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy import stats
 
 from rmtdetect import Scenario, Segment, generate, sample_gaussian_matrix
 from rmtdetect.errors import ConfigurationError, ParameterError
+from rmtdetect.rng import as_generator
 from rmtdetect.synth import load_scenario, scenario_from_dict, table3_partition, table3_scenario
 
 
@@ -150,3 +152,71 @@ def test_scenario_from_bad_dict():
 def test_scenario_noise_std_must_be_finite():
     with pytest.raises(ParameterError, match="noise std"):
         scenario_from_dict({"n": 4, "t": 10, "noise_std": float("nan")})
+
+
+def test_segment_rejects_a_repeated_node():
+    with pytest.raises(ParameterError, match=r"segment \[0, 10\) lists node 1 twice"):
+        Segment(0, 10, "step", level=1.0, nodes=(0, 1, 2, 1))
+
+
+def _three_array_generate(sc, seed):
+    """The scenario as signal + scale * noise over three n x t arrays."""
+    noise = as_generator(seed).standard_normal((sc.n, sc.t))
+    scale = np.full((sc.n, sc.t), sc.noise_std)
+    signal = np.zeros((sc.n, sc.t))
+    for seg in sc.segments:
+        cols = slice(seg.start, seg.end)
+        sig = seg.signal()
+        rows = slice(None) if seg.nodes is None else list(seg.nodes)
+        signal[rows, cols] += sig[None, :]
+        if seg.coupling > 0:
+            signal[:, cols] += seg.coupling * sig[None, :] / np.sqrt(sc.n)
+        if seg.kind == "collapse":
+            scale[rows, cols] *= np.exp(seg.rate * np.arange(seg.end - seg.start))[None, :]
+    return signal + scale * noise
+
+
+GENERATE_CASES = {
+    "noise-std-1": Scenario(n=12, t=300),
+    "noise-std-0.3": Scenario(n=12, t=300, noise_std=0.3),
+    "table3": table3_scenario(),
+    "collapse-on-a-subset": Scenario(
+        n=9, t=500, noise_std=0.7,
+        segments=(
+            Segment(0, 250, "ramp", level=1.0, slope=0.1, nodes=(2, 5)),
+            Segment(250, 500, "collapse", level=3.0, rate=0.01, nodes=(7, 1, 4), coupling=0.3),
+        ),
+    ),
+    "coupling": Scenario(
+        n=16, t=100,
+        segments=(
+            Segment(0, 50, "flat"),
+            Segment(50, 100, "step", level=40.0, nodes=(0,), coupling=0.5),
+        ),
+    ),
+    "flat-level-0": Scenario(n=5, t=80, noise_std=2.5, segments=(Segment(0, 80, "flat"),)),
+}
+
+
+@pytest.mark.parametrize("name", GENERATE_CASES)
+def test_generate_matches_the_three_array_formula_bit_for_bit(name):
+    sc = GENERATE_CASES[name]
+    got = generate(sc, seed=13).values
+    assert got.tobytes() == _three_array_generate(sc, 13).tobytes()
+
+
+@pytest.mark.parametrize(
+    "sc, bound",
+    [(Scenario(n=50, t=4000), 1.5), (table3_scenario(), 2.0)],
+    ids=["pure-noise", "table3"],
+)
+def test_generate_makes_no_n_by_t_temporaries(sc, bound):
+    # the noise draw becomes the values; the finiteness mask is 1/8 of it
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        src = generate(sc, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * src.values.nbytes
