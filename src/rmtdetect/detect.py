@@ -27,13 +27,17 @@ from __future__ import annotations
 import csv
 import io
 import json
+import shutil
+import tempfile
 import warnings
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from . import les
 from .errors import (
     AspectRatioError,
     ConfigurationError,
@@ -204,9 +208,12 @@ def _series(
     ends of `src`.
 
     Windows share no state and each draws from its own (base_seed, end)
-    seed, so map_spectra may split the ends over worker processes without
-    changing a bit. The workers fill in the spectra; the taus are taken
-    here, over the stacks.
+    seed, so map_spectra may split them over worker processes without
+    changing a bit. One map_spectra call covers every block, end-major, so
+    a sweep forks its workers once and a degenerate window raises at the
+    earliest end, blocks in order at the same end. The workers fill in the
+    spectra, into one stack pair per block; the taus are taken here, over
+    the stacks.
     """
     _check_blocks(blocks, cfg)
     T, L = cfg.window.T, cfg.window.L
@@ -219,19 +226,20 @@ def _series(
     if cfg.reference == "calibration":
         lo, hi = cfg.calibration_range
         calib = (ends >= lo) & (ends <= hi)
-    end_list = [int(e) for e in ends]
     fns = [get_function(name) for name in cfg.functions]
-    data = {}
-    for block, sub in blocks.items():
-        def spectra_at(end: int, sub: DataSource = sub):
-            return window_spectra(
-                sub.values[:, end - T + 1 : end + 1], L, fns, window_seed(cfg.base_seed, end),
-                sub.node_ids, cfg.degenerate_policy,
-            )
+    subs = list(blocks.values())
 
-        # the shared stacks are freed here, before the next block's are made
-        taus = stacked_taus(*map_spectra(spectra_at, end_list, sub.n, fns), fns)
-        for name, tau in taus.items():
+    def spectra_at(end: int, b: int):
+        sub = subs[b]
+        return window_spectra(
+            sub.values[:, end - T + 1 : end + 1], L, fns, window_seed(cfg.base_seed, end),
+            sub.node_ids, cfg.degenerate_policy,
+        )
+
+    stacks = map_spectra(spectra_at, ends.tolist(), [sub.n for sub in subs], fns)
+    data = {}
+    for (block, sub), spectra in zip(blocks.items(), stacks):
+        for name, tau in stacked_taus(*spectra, fns).items():
             data[(block, name)] = _track(cfg, block, name, sub.n, tau, calib)
     return IndicatorSeries(t=ends, data=data, meta=_meta(cfg, src))
 
@@ -395,23 +403,46 @@ def extract_events(series: IndicatorSeries, cfg: DetectorConfig) -> EventReport:
 
 def write_indicator_csv(series: IndicatorSeries, path) -> None:
     """One row per (region, function, t), byte for byte what csv.writer
-    writes, built and written one track at a time."""
+    writes, each track built and written as one block of text.
+
+    The sorted tracks are cut into one contiguous run per worker process
+    (les._map). The first run goes straight into the file, after the
+    header; each other run goes into an unlinked temporary file beside it,
+    which this process appends in order once every worker is done.
+    """
     path = Path(path)
     ts = [int(t) for t in series.t]
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(INDICATOR_COLUMNS) + "\r\n")
-        for (region, name), fs in sorted(series.data.items()):
-            # csv.writer quotes the labels; no tau, eta or flag word needs quoting
-            label = io.StringIO()
-            csv.writer(label).writerow([region, name])
-            key = label.getvalue()[:-2]
-            taus = map(repr, fs.tau.tolist())
-            etas = map(repr, fs.eta.tolist())
-            words = ("anomalous" if f else "normal" for f in fs.flag.tolist())
-            fh.write("".join(
-                f"{t},{key},{tau},{eta},{word}\r\n"
-                for t, tau, eta, word in zip(ts, taus, etas, words)
-            ))
+    runs = les._chunks(sorted(series.data.items()), les._worker_count())
+    with path.open("wb") as fh, ExitStack() as temps:
+        fh.write((",".join(INDICATOR_COLUMNS) + "\r\n").encode())
+        fh.flush()  # before any fork: a child must not inherit buffered bytes
+        outs = [fh] + [
+            temps.enter_context(tempfile.TemporaryFile(dir=path.parent)) for _ in runs[1:]
+        ]
+
+        def write_run(j: int) -> None:
+            for (region, name), fs in runs[j]:
+                outs[j].write(_track_text(ts, region, name, fs).encode("utf-8"))
+            outs[j].flush()
+
+        les._map(write_run, range(len(runs)))
+        for tmp in outs[1:]:
+            tmp.seek(0)
+            shutil.copyfileobj(tmp, fh)
+
+
+def _track_text(ts: List[int], region: str, name: str, fs: FunctionSeries) -> str:
+    """The CSV rows of one track."""
+    # csv.writer quotes the labels; no tau, eta or flag word needs quoting
+    label = io.StringIO()
+    csv.writer(label).writerow([region, name])
+    key = label.getvalue()[:-2]
+    taus = map(repr, fs.tau.tolist())
+    etas = map(repr, fs.eta.tolist())
+    words = ("anomalous" if f else "normal" for f in fs.flag.tolist())
+    return "".join(
+        f"{t},{key},{tau},{eta},{word}\r\n" for t, tau, eta, word in zip(ts, taus, etas, words)
+    )
 
 
 def read_indicator_csv(path) -> IndicatorSeries:

@@ -22,11 +22,13 @@ Theoretical references:
   are conservative.
 
 Every window, in the sweep and in the Monte Carlo oracles, runs one kernel,
-window_spectra, which returns eigenvalues. The sweep's windows and the
-Monte Carlo trials of mc_ring_msr run it through map_spectra, which splits
-them over forked worker processes where BLAS leaves CPUs idle (_map) and
-stacks their spectra in this process; stacked_taus then evaluates each test
-function over the stacks. Results do not depend on the number of workers.
+window_spectra, which returns eigenvalues. The sweep's windows, every
+block's in one call, and the Monte Carlo trials of mc_ring_msr run it
+through map_spectra, which splits them over forked worker processes where
+BLAS leaves CPUs idle (_map) and stacks their spectra in this process, one
+stack pair per block; stacked_taus then evaluates each test function over
+the stacks. detect.write_indicator_csv also formats its tracks through
+_map. Results do not depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import multiprocessing
 import os
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -231,30 +233,40 @@ def _shared(rows: int, cols: int, dtype) -> np.ndarray:
 
 
 def map_spectra(
-    spectra_of: Callable[[Any], Spectra], items: Sequence, N: int,
+    spectra_of: Callable[[Any, int], Spectra], items: Sequence, widths: Sequence[int],
     functions: Sequence[TestFunction],
-) -> Spectra:
-    """(ring, covariance) spectra of every item, stacked in item order as
-    (items x N) arrays, None where no function needs them.
+) -> List[Spectra]:
+    """One (ring, covariance) stack pair per block b: spectra_of(x, b) of
+    every item x, stacked in item order as (items x widths[b]) arrays, None
+    where no function needs them.
 
-    _map runs spectra_of; each call writes its rows of the stacks, which
-    live in shared memory, so the spectra reach this process without being
-    pickled or held twice.
+    One _map call runs spectra_of over every (item, block) pair, item-major
+    (for each item, every block in block order), so each worker's
+    contiguous chunk holds an even share of every block's items and the
+    first error in that order is the one raised. Each call writes its row
+    of its block's stacks, which live in shared memory, so the spectra
+    reach this process without being pickled or held twice; every block's
+    stacks live until the caller drops them.
     """
     items = list(items)
     need_ring, need_cov = _needs(functions)
-    ring = _shared(len(items), N, complex) if need_ring else None
-    cov = _shared(len(items), N, float) if need_cov else None
+    stacks = [
+        (_shared(len(items), n, complex) if need_ring else None,
+         _shared(len(items), n, float) if need_cov else None)
+        for n in widths
+    ]
 
-    def fill(i: int) -> None:
-        r, c = spectra_of(items[i])
+    def fill(job: Tuple[int, int]) -> None:
+        i, b = job
+        r, c = spectra_of(items[i], b)
+        ring, cov = stacks[b]
         if ring is not None:
             ring[i] = r
         if cov is not None:
             cov[i] = c
 
-    _map(fill, range(len(items)))
-    return ring, cov
+    _map(fill, [(i, b) for i in range(len(items)) for b in range(len(widths))])
+    return stacks
 
 
 def lln_expectation(f: TestFunction, d, N: int) -> float:
@@ -402,11 +414,12 @@ def mc_ring_msr(
     if key in _ring_cache:
         return _ring_cache[key]
 
-    def trial(i: int) -> Spectra:
+    def trial(i: int, block: int) -> Spectra:
         rng = as_generator(derived_seed(seed_base, 0xCA11B, N, T, L, i))
         return window_spectra(rng.standard_normal((N, T)), L, (MSR,), rng)
 
-    vals = stacked_taus(*map_spectra(trial, range(reps), N, (MSR,)), (MSR,))["MSR"]
+    (spectra,) = map_spectra(trial, range(reps), (N,), (MSR,))
+    vals = stacked_taus(*spectra, (MSR,))["MSR"]
     out = (float(vals.mean()), float(vals.var(ddof=1)))
     _ring_cache[key] = out
     return out
@@ -450,6 +463,14 @@ def _worker_count() -> int:
     return max(1, cpus // _blas_threads(cpus))
 
 
+def _chunks(items: list, k: int) -> List[list]:
+    """items cut into min(len(items), k) contiguous chunks, at least one,
+    whose lengths differ by at most one."""
+    k = max(1, min(len(items), k))
+    bounds = [len(items) * j // k for j in range(k + 1)]
+    return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
 def _run_chunk(fn: Callable[[Any], None], chunk: Sequence, conn, parent: int) -> None:
     """Body of a worker process: fn over its chunk, then one message on conn,
     None once every call has returned, or the exception one raised."""
@@ -469,25 +490,25 @@ def _map(fn: Callable[[Any], None], items: Sequence) -> None:
     """fn(x) for every x in items, for its effect only, split over forked
     one-shot worker processes.
 
-    items is cut into _worker_count() contiguous chunks. The first runs in
-    this process; each other chunk runs in a child forked from it, which
-    inherits fn and its chunk, sends back through a one-way pipe only
-    whether fn raised, and exits, so fn's effect must reach this process
-    through shared memory (map_spectra's stacks). Every child is joined
-    before _map returns, and terminated first when the call fails. fn must
-    not depend on state the other items change: the effect does not depend
-    on the number of workers. An error raised by fn reaches the caller with
-    its type and message; the earliest chunk's error wins, as in the plain
-    loop. fn must not count clamps: a child's count stays in the child.
+    items is cut into _worker_count() contiguous chunks (_chunks). The
+    first runs in this process; each other chunk runs in a child forked
+    from it, which inherits fn and its chunk, sends back through a one-way
+    pipe only whether fn raised, and exits, so fn's effect must reach this
+    process through shared memory (map_spectra's stacks) or through a file
+    the caller opened before the call (detect.write_indicator_csv's
+    temporary files), which fn flushes itself: a child exits without
+    flushing its file buffers. Every child is joined before _map returns,
+    and terminated first when the call fails. fn must not depend on state
+    the other items change: the effect does not depend on the number of
+    workers. An error raised by fn reaches the caller with its type and
+    message; the earliest chunk's error wins, as in the plain loop. fn must
+    not count clamps: a child's count stays in the child.
     """
-    items = list(items)
-    k = min(len(items), _worker_count())
-    if k <= 1:
-        for x in items:
+    chunks = _chunks(list(items), _worker_count())
+    if len(chunks) == 1:
+        for x in chunks[0]:
             fn(x)
         return
-    bounds = [len(items) * j // k for j in range(k + 1)]
-    chunks = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     ctx = multiprocessing.get_context("fork")
     parent = os.getpid()
     workers = []

@@ -109,8 +109,16 @@ def train(
     if m is None:
         frac = np.cumsum(w) / w.sum()
         m = int(np.searchsorted(frac, VARIANCE_SHARE) + 1)
+        if m < m_prime:
+            raise ParameterError(
+                f"pca: the default m (--m), the count of eigenvalues holding "
+                f"{VARIANCE_SHARE:.0%} of the training variance, is {m}, below m'={m_prime} "
+                f"(--m-prime); give --m between {m_prime} and {n_nodes}, or a smaller --m-prime"
+            )
     if not m_prime <= m <= n_nodes:
-        raise ParameterError(f"pca: need m' <= m <= N, got m'={m_prime}, m={m}, N={n_nodes}")
+        raise ParameterError(
+            f"pca: need m' <= m <= N, got m'={m_prime} (--m-prime), m={m} (--m), N={n_nodes}"
+        )
 
     proj = _principal_projection(y, m)
     pilots = _greedy_pilots(proj, m_prime)

@@ -107,6 +107,10 @@ def generate(sc: Scenario, seed: SeedLike = 0) -> DataSource:
     # segment turns its own column block into values in place, and no
     # other n x t array is made.
     values = rng.standard_normal((sc.n, sc.t))
+    # a float product overflows to inf without a warning, and exactly where
+    # scaling the largest draw in the array would
+    if not np.isfinite(float(max(-values.min(), values.max())) * sc.noise_std):
+        raise ParameterError(f"synth: noise std {sc.noise_std:g} gives values beyond float64")
     if not sc.segments:
         values *= sc.noise_std
     with np.errstate(over="ignore", invalid="ignore"):

@@ -244,6 +244,25 @@ def test_scenario_segment_that_cannot_be_drawn_is_named(capsys, tmp_path, segmen
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "segments",
+    [
+        [],  # the noise alone overflowed with a bare RuntimeWarning
+        [{"start": 0, "end": 10, "kind": "flat", "nodes": []}],  # a segment touching no node
+    ],
+    ids=["no-segments", "segment-without-nodes"],
+)
+def test_noise_std_beyond_float64_is_named(capsys, tmp_path, segments):
+    sc_path = tmp_path / "sc.json"
+    sc_path.write_text(json.dumps({"n": 4, "t": 10, "noise_std": 1e308, "segments": segments}))
+    out = tmp_path / "data.csv"
+    code, stdout, err = run_cli(capsys, "simulate", "--scenario", str(sc_path), "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert "error [ParameterError]" in err
+    assert "synth: noise std 1e+308 gives values beyond float64" in err
+    assert "Warning" not in err and not out.exists()
+
+
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
     """simulate + analyze on a small grid, shared across CLI tests."""
@@ -653,6 +672,12 @@ INPUT_EXITS = [
      "ConfigurationError", "bad training range '1:2:3'"),
     ("train-no-longer-than-m-prime", ["pca-baseline", "--train", "0:3"], None,
      "ParameterError", "training range (--train) holds 3 samples; need more than m'=3"),
+    # the step dominates the variance: one eigenvalue holds 95% of it, and
+    # the message named an m the user never passed
+    ("default-m-below-m-prime", ["pca-baseline", "--train", "0:300", "--m-prime", "3"], None,
+     "ParameterError",
+     "pca: the default m (--m), the count of eigenvalues holding 95% of the training variance, "
+     "is 1, below m'=3 (--m-prime); give --m between 3 and 18, or a smaller --m-prime"),
     ("inf-header-analyze", ["analyze", "--input", "inf.csv"], None,
      "MalformedInputError", "inf.csv header is not numeric timestamps"),
     ("inf-header-pca", ["pca-baseline", "--train", "0:100", "--input", "inf.csv"], None,

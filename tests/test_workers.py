@@ -1,16 +1,20 @@
-"""Worker processes: the sweep and the Monte Carlo calibration give the same
-bits, errors and clamp counts at one and at two workers, and leave no
-process behind, not even when their parent is killed."""
+"""Worker processes: the sweep, the Monte Carlo calibration and the
+indicator CSV writer give the same bits, errors and clamp counts at one and
+at two workers, and leave no process or file behind, not even when their
+parent is killed."""
 
 import ctypes
+import gc
 import multiprocessing
 import os
 import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import child_pids
@@ -25,7 +29,13 @@ from rmtdetect import (
     sample_gaussian_matrix,
     sweep,
 )
-from rmtdetect.detect import write_events_json
+from rmtdetect.detect import (
+    FunctionSeries,
+    IndicatorSeries,
+    read_indicator_csv,
+    write_events_json,
+    write_indicator_csv,
+)
 from rmtdetect.errors import DegenerateRowError
 from rmtdetect.synth import table3_partition, table3_scenario
 
@@ -107,6 +117,104 @@ def test_error_in_second_chunk_matches_the_serial_error(at_workers):
         errors.append(str(err.value))
     assert errors[0] == errors[1]
     assert repr(src.node_ids[3]) in errors[0]
+
+
+def test_regional_sweep_forks_once(at_workers, monkeypatch):
+    # no MSR, so no Monte Carlo calibration runs _map besides the sweep
+    calls = []
+    map_once = les._map
+
+    def counted(fn, items):
+        calls.append(len(items))
+        return map_once(fn, items)
+
+    monkeypatch.setattr(les, "_map", counted)
+    src = generate(table3_scenario(n=24, t=200), seed=8)
+    cfg = DetectorConfig(window=WindowSpec(T=40, stride=4), functions=("T2", "LRF"),
+                         regions=table3_partition(n=24))
+    series = at_workers(2, regional_series, src, cfg)
+    # one call over every (end, block) pair: 41 ends, ALL and six regions
+    assert calls == [41 * 7] and len(series.data) == 14
+
+
+def test_blockwise_error_comes_from_the_earliest_window_end(at_workers):
+    # T = 20 < 24 nodes, so "ALL" is skipped. bus2 (region A1) is constant
+    # from sample 250 and bus22 (region A6) from 220: the first degenerate
+    # window ends at 239, in A6, and both ends lie in the second of two
+    # chunks of the 281 ends
+    src = sample_gaussian_matrix(24, 300, seed=9)
+    vals = src.values.copy()
+    vals[1, 250:] = 1.0
+    vals[21, 220:] = 1.0
+    src = DataSource(vals, src.node_ids, src.timestamps)
+    cfg = DetectorConfig(window=WindowSpec(T=20), functions=("T2",),
+                         regions=table3_partition(n=24))
+    errors = []
+    for n in (1, 2):
+        with pytest.warns(RuntimeWarning, match='skipping the "ALL" series'):
+            with pytest.raises(DegenerateRowError) as err:
+                at_workers(n, regional_series, src, cfg)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+    assert "'bus22'" in errors[0] and "'bus2'" not in errors[0]
+
+
+def _tracks(n: int) -> IndicatorSeries:
+    """n tracks over seven ends; the first region label needs csv quoting."""
+    rng = np.random.default_rng(n)
+    t = np.arange(40, 47)
+    data = {}
+    for i in range(n):
+        region = 'east, "7"\nline' if i == 0 else f"r{i:03d}"
+        tau = rng.standard_normal(len(t)) * 10.0 ** rng.integers(-8, 9)
+        data[(region, ("MSR", "T2", "LRF")[i % 3])] = FunctionSeries(
+            tau=tau, eta=tau / 3.0, flag=np.abs(tau) > 1.0,
+            e_eta=3.0, e_flag=0.0, d_flag=1.0, reference="theoretical",
+        )
+    return IndicatorSeries(t=t, data=data, meta={})
+
+
+@pytest.mark.parametrize("n_tracks", [0, 1, 2, 3, 115])
+def test_indicator_csv_bytes_do_not_depend_on_worker_count(at_workers, tmp_path, n_tracks):
+    series = _tracks(n_tracks)
+    written = []
+    for n in (1, 2):
+        out = tmp_path / f"at{n}"
+        out.mkdir()
+        at_workers(n, write_indicator_csv, series, out / "indicator.csv")
+        assert os.listdir(out) == ["indicator.csv"]
+        written.append((out / "indicator.csv").read_bytes())
+    assert written[0] == written[1]
+    assert written[0].startswith(b"t,region,function,tau,eta,flag\r\n")
+    assert written[0].count(b"\r\n") == 1 + 7 * n_tracks  # a quoted newline is a bare \n
+    if n_tracks:
+        back = read_indicator_csv(tmp_path / "at2" / "indicator.csv")
+        assert sorted(back.data) == sorted(series.data)
+        for key, fs in series.data.items():
+            assert back.data[key].tau.tobytes() == fs.tau.tobytes()
+            assert back.data[key].eta.tobytes() == fs.eta.tobytes()
+            assert back.data[key].flag.tolist() == fs.flag.tolist()
+
+
+def test_indicator_csv_error_in_a_worker_reaches_the_caller(at_workers, tmp_path):
+    # the last of four tracks, in the child's run at two workers, has a
+    # plain list for tau, which the formatter cannot take
+    series = _tracks(4)
+    last = sorted(series.data)[-1]
+    series.data[last].tau = series.data[last].tau.tolist()
+    errors = []
+    for n in (1, 2):
+        out = tmp_path / f"at{n}"
+        out.mkdir()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(AttributeError) as err:
+                at_workers(n, write_indicator_csv, series, out / "indicator.csv")
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        assert os.listdir(out) == ["indicator.csv"]
+        errors.append(str(err.value))
+    assert errors[0] == errors[1] == "'list' object has no attribute 'tolist'"
 
 
 def test_clamp_count_includes_the_workers(at_workers):
