@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import les
+from . import workers
 from .errors import (
     AspectRatioError,
     ConfigurationError,
@@ -406,13 +406,14 @@ def write_indicator_csv(series: IndicatorSeries, path) -> None:
     writes, each track built and written as one block of text.
 
     The sorted tracks are cut into one contiguous run per worker process
-    (les._map). The first run goes straight into the file, after the
-    header; each other run goes into an unlinked temporary file beside it,
-    which this process appends in order once every worker is done.
+    (workers.chunks), and workers.run writes the runs. The first run goes
+    straight into the file, after the header; each other run goes into an
+    unlinked temporary file beside it, which this process appends in order
+    once every worker is done.
     """
     path = Path(path)
     ts = [int(t) for t in series.t]
-    runs = les._chunks(sorted(series.data.items()), les._worker_count())
+    runs = workers.chunks(sorted(series.data.items()))
     with path.open("wb") as fh, ExitStack() as temps:
         fh.write((",".join(INDICATOR_COLUMNS) + "\r\n").encode())
         fh.flush()  # before any fork: a child must not inherit buffered bytes
@@ -425,7 +426,7 @@ def write_indicator_csv(series: IndicatorSeries, path) -> None:
                 outs[j].write(_track_text(ts, region, name, fs).encode("utf-8"))
             outs[j].flush()
 
-        les._map(write_run, range(len(runs)))
+        workers.run(write_run, range(len(runs)))
         for tmp in outs[1:]:
             tmp.seek(0)
             shutil.copyfileobj(tmp, fh)

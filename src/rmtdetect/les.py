@@ -22,26 +22,19 @@ Theoretical references:
   are conservative.
 
 Every window, in the sweep and in the Monte Carlo oracles, runs one kernel,
-window_spectra, which returns eigenvalues. The sweep's windows, every
-block's in one call, and the Monte Carlo trials of mc_ring_msr run it
-through map_spectra, which splits them over forked worker processes where
-BLAS leaves CPUs idle (_map) and stacks their spectra in this process, one
-stack pair per block; stacked_taus then evaluates each test function over
-the stacks. detect.write_indicator_csv also formats its tracks through
-_map. Results do not depend on the number of workers.
+window_spectra; map_spectra runs it on the worker processes of `workers`
+and stacks the spectra in this process for stacked_taus.
 """
 
 from __future__ import annotations
 
-import mmap
-import multiprocessing
-import os
 import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import workers
 from .errors import ContractError, DivergenceError, NumericalFailureError, ParameterError
 # ring_product is imported but unused: the benchmark's tracer tests look the
 # name up in this namespace.
@@ -225,13 +218,6 @@ def stacked_taus(
     return {name: np.concatenate(taus) for name, taus in parts.items()}
 
 
-def _shared(rows: int, cols: int, dtype) -> np.ndarray:
-    """A zeroed rows x cols array in anonymous shared memory: a worker forked
-    after it is made writes into the caller's copy."""
-    size = max(rows * cols * np.dtype(dtype).itemsize, 1)
-    return np.frombuffer(mmap.mmap(-1, size), dtype=dtype, count=rows * cols).reshape(rows, cols)
-
-
 def map_spectra(
     spectra_of: Callable[[Any, int], Spectra], items: Sequence, widths: Sequence[int],
     functions: Sequence[TestFunction],
@@ -240,19 +226,20 @@ def map_spectra(
     every item x, stacked in item order as (items x widths[b]) arrays, None
     where no function needs them.
 
-    One _map call runs spectra_of over every (item, block) pair, item-major
-    (for each item, every block in block order), so each worker's
-    contiguous chunk holds an even share of every block's items and the
-    first error in that order is the one raised. Each call writes its row
-    of its block's stacks, which live in shared memory, so the spectra
-    reach this process without being pickled or held twice; every block's
-    stacks live until the caller drops them.
+    One workers.run call runs spectra_of over every (item, block) pair,
+    item-major (for each item, every block in block order), so each
+    worker's contiguous chunk holds an even share of every block's items
+    and the first error in that order is the one raised. Each call writes
+    its row of its block's stacks, which live in shared memory
+    (workers.shared_array), so the spectra reach this process without being
+    pickled or held twice; every block's stacks live until the caller drops
+    them.
     """
     items = list(items)
     need_ring, need_cov = _needs(functions)
     stacks = [
-        (_shared(len(items), n, complex) if need_ring else None,
-         _shared(len(items), n, float) if need_cov else None)
+        (workers.shared_array(len(items), n, complex) if need_ring else None,
+         workers.shared_array(len(items), n, float) if need_cov else None)
         for n in widths
     ]
 
@@ -265,7 +252,7 @@ def map_spectra(
         if cov is not None:
             cov[i] = c
 
-    _map(fill, [(i, b) for i in range(len(items)) for b in range(len(widths))])
+    workers.run(fill, [(i, b) for i in range(len(items)) for b in range(len(widths))])
     return stacks
 
 
@@ -406,7 +393,7 @@ def mc_ring_msr(
     at N ~ 100 (and a larger one for small regional blocks), so detection
     references calibrate both moments here. Each trial runs window_spectra,
     the sweep's own kernel, on one Gaussian window. Trial i draws from its
-    own seed (seed_base, N, T, L, i), so _map may split the trials over
+    own seed (seed_base, N, T, L, i), so workers.run may split the trials over
     worker processes without changing a bit. Results are cached per
     parameter tuple.
     """
@@ -423,120 +410,3 @@ def mc_ring_msr(
     out = (float(vals.mean()), float(vals.var(ddof=1)))
     _ring_cache[key] = out
     return out
-
-
-# ---------------------------------------------------------------------------
-# Worker processes
-# ---------------------------------------------------------------------------
-
-
-def _blas_threads(cpus: int) -> int:
-    """BLAS threads per process, as OpenBLAS reads them when it loads: the
-    first positive OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, else one per
-    usable CPU."""
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            n = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if n > 0:
-            return min(n, cpus)
-    return cpus
-
-
-def _worker_count() -> int:
-    """Processes _map may use: usable CPUs over BLAS threads per process.
-
-    Worker processes only pay where BLAS leaves CPUs idle: with BLAS on
-    every CPU, two forked workers ran 2.6x slower than one process. The
-    count is 1 where fork is unavailable, and while another Python thread
-    runs, because a child forked while a thread holds a lock inherits the
-    lock held and can deadlock on it.
-    """
-    if (
-        "fork" not in multiprocessing.get_all_start_methods()
-        or not hasattr(os, "sched_getaffinity")
-        or threading.active_count() > 1
-    ):
-        return 1
-    cpus = len(os.sched_getaffinity(0))
-    return max(1, cpus // _blas_threads(cpus))
-
-
-def _chunks(items: list, k: int) -> List[list]:
-    """items cut into min(len(items), k) contiguous chunks, at least one,
-    whose lengths differ by at most one."""
-    k = max(1, min(len(items), k))
-    bounds = [len(items) * j // k for j in range(k + 1)]
-    return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
-
-def _run_chunk(fn: Callable[[Any], None], chunk: Sequence, conn, parent: int) -> None:
-    """Body of a worker process: fn over its chunk, then one message on conn,
-    None once every call has returned, or the exception one raised."""
-    try:
-        for x in chunk:
-            if os.getppid() != parent:
-                return  # orphaned: nobody is left to read the message
-            fn(x)
-        conn.send(None)
-    except Exception as e:  # handed to the parent, which raises it
-        conn.send(e)
-    finally:
-        conn.close()
-
-
-def _map(fn: Callable[[Any], None], items: Sequence) -> None:
-    """fn(x) for every x in items, for its effect only, split over forked
-    one-shot worker processes.
-
-    items is cut into _worker_count() contiguous chunks (_chunks). The
-    first runs in this process; each other chunk runs in a child forked
-    from it, which inherits fn and its chunk, sends back through a one-way
-    pipe only whether fn raised, and exits, so fn's effect must reach this
-    process through shared memory (map_spectra's stacks) or through a file
-    the caller opened before the call (detect.write_indicator_csv's
-    temporary files), which fn flushes itself: a child exits without
-    flushing its file buffers. Every child is joined before _map returns,
-    and terminated first when the call fails. fn must not depend on state
-    the other items change: the effect does not depend on the number of
-    workers. An error raised by fn reaches the caller with its type and
-    message; the earliest chunk's error wins, as in the plain loop. fn must
-    not count clamps: a child's count stays in the child.
-    """
-    chunks = _chunks(list(items), _worker_count())
-    if len(chunks) == 1:
-        for x in chunks[0]:
-            fn(x)
-        return
-    ctx = multiprocessing.get_context("fork")
-    parent = os.getpid()
-    workers = []
-    done = False
-    try:
-        for chunk in chunks[1:]:
-            reader, writer = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_run_chunk, args=(fn, chunk, writer, parent))
-            proc.start()
-            writer.close()
-            workers.append((proc, reader))
-        for x in chunks[0]:
-            fn(x)
-        for proc, reader in workers:
-            try:
-                error = reader.recv()
-            except EOFError:
-                proc.join()
-                raise RuntimeError(
-                    f"les: worker process {proc.pid} exited with code {proc.exitcode} "
-                    "before reporting"
-                ) from None
-            if error is not None:
-                raise error
-        done = True
-    finally:
-        for proc, reader in workers:
-            reader.close()
-            if not done:
-                proc.terminate()
-            proc.join()

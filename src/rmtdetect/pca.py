@@ -41,9 +41,9 @@ class PilotModel:
     condition_number: float         # of the pilot basis on the training range
 
 
-def _principal_projection(y: np.ndarray, m: int) -> np.ndarray:
-    """Project each column of y (time x nodes) onto the top-m PC subspace."""
-    c = y.T @ y
+def _principal_projection(y: np.ndarray, c: np.ndarray, m: int) -> np.ndarray:
+    """Project each column of y (time x nodes) onto the top-m PC subspace of
+    its Gram matrix c = y^T y."""
     w, p = np.linalg.eigh(c)
     order = np.argsort(w)[::-1]
     scores = y @ p[:, order[:m]]
@@ -104,8 +104,19 @@ def train(
             f"pca: m' (--m-prime) must satisfy 1 <= m' <= N-1 = {n_nodes - 1}, so that there "
             f"is a pilot and a non-pilot node; got m'={m_prime}"
         )
-    c = y.T @ y
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = y.T @ y
+    if not np.isfinite(c).all():
+        raise ParameterError(
+            f"pca: the Gram matrix of the training range (--train) [{lo}, {hi}) overflows "
+            "float64; rescale the data"
+        )
     w = np.linalg.eigvalsh(c)[::-1]
+    if not w.sum() > 0:
+        raise ParameterError(
+            f"pca: the training range (--train) [{lo}, {hi}) has no variance: every sample is 0 "
+            "or too small to square in float64"
+        )
     if m is None:
         frac = np.cumsum(w) / w.sum()
         m = int(np.searchsorted(frac, VARIANCE_SHARE) + 1)
@@ -120,7 +131,7 @@ def train(
             f"pca: need m' <= m <= N, got m'={m_prime} (--m-prime), m={m} (--m), N={n_nodes}"
         )
 
-    proj = _principal_projection(y, m)
+    proj = _principal_projection(y, c, m)
     pilots = _greedy_pilots(proj, m_prime)
     nonpilots = [k for k in range(n_nodes) if k not in pilots]
 

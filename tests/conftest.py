@@ -4,7 +4,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from rmtdetect import DataSource
+from rmtdetect import DataSource, les, workers
 
 ACCEPTANCE_LINES = []
 
@@ -43,6 +43,23 @@ def pytest_sessionfinish(session, exitstatus):
         if reporter is not None:
             reporter.write_line(f"child processes left by the tests: {sorted(left)}", red=True)
         session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
+
+@pytest.fixture
+def at_workers(monkeypatch):
+    """at_workers(n, fn, *args): fn(*args) with n workers and a cold
+    calibration cache; afterwards no worker process may be left."""
+
+    def run(n, fn, *args):
+        monkeypatch.setattr(workers, "count", lambda: n)
+        monkeypatch.setattr(les, "_ring_cache", {})
+        try:
+            return fn(*args)
+        finally:
+            assert multiprocessing.active_children() == []
+            assert child_pids() == []
+
+    return run
 
 
 @pytest.fixture

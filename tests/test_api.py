@@ -52,3 +52,22 @@ def _package_imports(path: Path) -> set:
 def test_spectral_imports_only_errors_and_rng_from_the_package():
     # the laws and eigensolvers sit below the random-matrix models in rmm
     assert _package_imports(ROOT / "src" / "rmtdetect" / "spectral.py") <= {"errors", "rng"}
+
+
+def test_workers_imports_nothing_from_the_package():
+    # the worker processes know nothing of windows, spectra or tracks
+    assert _package_imports(ROOT / "src" / "rmtdetect" / "workers.py") == set()
+
+
+def test_only_les_reads_its_private_names():
+    readers = []
+    for path in (ROOT / "src" / "rmtdetect").glob("*.py"):
+        if path.name == "les.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and isinstance(node.value, ast.Name) and node.value.id == "les"):
+                readers.append((path.name, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module in ("les", "rmtdetect.les"):
+                readers += [(path.name, a.name) for a in node.names if a.name.startswith("_")]
+    assert readers == []

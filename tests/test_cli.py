@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rmtdetect import load_csv
+from rmtdetect import DataSource, load_csv, sample_gaussian_matrix, write_csv
 from rmtdetect.cli import _build_parser, main
 
 
@@ -678,6 +678,15 @@ INPUT_EXITS = [
      "ParameterError",
      "pca: the default m (--m), the count of eigenvalues holding 95% of the training variance, "
      "is 1, below m'=3 (--m-prime); give --m between 3 and 18, or a smaller --m-prime"),
+    # an all-zero training range divided by a zero eigenvalue sum
+    ("train-all-zero", ["pca-baseline", "--train", "0:20", "--m-prime", "2", "--input",
+                        "zeros.csv"], None,
+     "ParameterError", "pca: the training range (--train) [0, 20) has no variance"),
+    # y^T y overflowed to inf, and the eigensolver failed with a LinAlgError
+    ("train-gram-beyond-float64", ["pca-baseline", "--train", "0:30", "--m-prime", "2",
+                                   "--input", "huge.csv"], None,
+     "ParameterError", "pca: the Gram matrix of the training range (--train) [0, 30) overflows "
+     "float64"),
     ("inf-header-analyze", ["analyze", "--input", "inf.csv"], None,
      "MalformedInputError", "inf.csv header is not numeric timestamps"),
     ("inf-header-pca", ["pca-baseline", "--train", "0:100", "--input", "inf.csv"], None,
@@ -697,6 +706,11 @@ def test_input_exits_name_their_cause(small_run, tmp_path, capsys, monkeypatch,
     # an inf header cell ended in an OverflowError traceback
     _, data, report = small_run
     (tmp_path / "inf.csv").write_text("node_id,0,inf\nbus1,1.0,2.0\nbus2,3.0,4.0\n")
+    write_csv(DataSource(np.zeros((5, 40)), tuple(f"n{i}" for i in range(5)), tuple(range(40))),
+              tmp_path / "zeros.csv")
+    huge = sample_gaussian_matrix(6, 60, seed=1)
+    write_csv(DataSource(huge.values * 1e154, huge.node_ids, huge.timestamps),
+              tmp_path / "huge.csv")
     (tmp_path / "regions.json").write_text('{"A": ["bus1"]}')
     (tmp_path / "cfg.json").write_text("{}")
     if env_seed is not None:

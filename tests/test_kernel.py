@@ -3,12 +3,9 @@ bits of a plain per-window loop over the public pieces, at any stride,
 depth and worker count, and its row check names the nodes standardize
 names."""
 
-import multiprocessing
-
 import numpy as np
 import pytest
 
-from conftest import child_pids
 from rmtdetect import (
     DataSource,
     DetectorConfig,
@@ -34,22 +31,6 @@ from rmtdetect.rng import window_seed
 from rmtdetect.synth import table3_partition, table3_scenario
 
 ALL_FUNCTIONS = ("MSR", "T2", "T3", "T4", "DET", "LRF")
-
-
-@pytest.fixture
-def at_workers(monkeypatch):
-    """at_workers(n, fn, *args): fn(*args) with n workers; afterwards no
-    worker process may be left."""
-
-    def run(n, fn, *args):
-        monkeypatch.setattr(les, "_worker_count", lambda: n)
-        try:
-            return fn(*args)
-        finally:
-            assert multiprocessing.active_children() == []
-            assert child_pids() == []
-
-    return run
 
 
 def _reference_taus(values, ends, cfg):

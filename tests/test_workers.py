@@ -5,7 +5,6 @@ parent is killed."""
 
 import ctypes
 import gc
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -28,6 +27,7 @@ from rmtdetect import (
     regional_series,
     sample_gaussian_matrix,
     sweep,
+    workers,
 )
 from rmtdetect.detect import (
     FunctionSeries,
@@ -40,23 +40,6 @@ from rmtdetect.errors import DegenerateRowError
 from rmtdetect.synth import table3_partition, table3_scenario
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-@pytest.fixture
-def at_workers(monkeypatch):
-    """at_workers(n, fn, *args): fn(*args) with n workers and a cold
-    calibration cache; afterwards no worker process may be left."""
-
-    def run(n, fn, *args):
-        monkeypatch.setattr(les, "_worker_count", lambda: n)
-        monkeypatch.setattr(les, "_ring_cache", {})
-        try:
-            return fn(*args)
-        finally:
-            assert multiprocessing.active_children() == []
-            assert child_pids() == []
-
-    return run
 
 
 def _outcome(series, cfg, path):
@@ -120,15 +103,15 @@ def test_error_in_second_chunk_matches_the_serial_error(at_workers):
 
 
 def test_regional_sweep_forks_once(at_workers, monkeypatch):
-    # no MSR, so no Monte Carlo calibration runs _map besides the sweep
+    # no MSR, so no Monte Carlo calibration runs workers.run besides the sweep
     calls = []
-    map_once = les._map
+    map_once = workers.run
 
     def counted(fn, items):
         calls.append(len(items))
         return map_once(fn, items)
 
-    monkeypatch.setattr(les, "_map", counted)
+    monkeypatch.setattr(workers, "run", counted)
     src = generate(table3_scenario(n=24, t=200), seed=8)
     cfg = DetectorConfig(window=WindowSpec(T=40, stride=4), functions=("T2", "LRF"),
                          regions=table3_partition(n=24))
@@ -236,13 +219,13 @@ def test_clamp_count_includes_the_workers(at_workers):
 def test_map_sends_no_results_and_names_a_worker_that_died(at_workers):
     # fn acts through shared memory; what it returns, here a generator no
     # pipe could carry, never leaves the process that made it
-    out = les._shared(1, 6, float)
+    out = workers.shared_array(1, 6, float)
 
     def fill(i):
         out[0, i] = i * i
         return (i for _ in ())
 
-    at_workers(2, les._map, fill, range(6))
+    at_workers(2, workers.run, fill, range(6))
     assert out[0].tolist() == [0, 1, 4, 9, 16, 25]
 
     def die(i):
@@ -250,7 +233,7 @@ def test_map_sends_no_results_and_names_a_worker_that_died(at_workers):
             os._exit(3)
 
     with pytest.raises(RuntimeError, match="exited with code 3 before reporting"):
-        at_workers(2, les._map, die, range(6))
+        at_workers(2, workers.run, die, range(6))
 
 
 @pytest.mark.parametrize(
@@ -270,23 +253,23 @@ def test_worker_count_is_cpus_over_blas_threads(monkeypatch, env, cpus, expected
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
-    monkeypatch.setattr(les.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    assert les._worker_count() == expected
+    monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert workers.count() == expected
 
 
 def test_worker_count_is_one_while_another_thread_runs(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setattr(les.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        assert les._worker_count() == 1
+        assert workers.count() == 1
     finally:
         stop.set()
         thread.join(timeout=5)
     assert not thread.is_alive()
-    assert les._worker_count() == 2
+    assert workers.count() == 2
 
 
 PR_SET_CHILD_SUBREAPER = 36
@@ -313,15 +296,15 @@ def test_workers_stop_when_their_parent_is_killed():
     proc = subprocess.Popen([sys.executable, "-c", SWEEP_4000_WINDOWS], env=env)
     try:
         deadline = time.monotonic() + 60
-        workers = []
-        while not workers and proc.poll() is None and time.monotonic() < deadline:
-            workers = child_pids(proc.pid)
+        pids = []
+        while not pids and proc.poll() is None and time.monotonic() < deadline:
+            pids = child_pids(proc.pid)
             time.sleep(0.01)
-        assert workers, "the sweep started no worker process"
+        assert pids, "the sweep started no worker process"
         proc.kill()
         proc.wait(timeout=10)
         deadline = time.monotonic() + 5
-        left = set(workers)
+        left = set(pids)
         while left and time.monotonic() < deadline:
             for pid in list(left):
                 try:
