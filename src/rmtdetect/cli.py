@@ -33,10 +33,9 @@ from .detect import (
 )
 from .errors import ConfigurationError, NumericalFailureError, ParameterError, RmtDetectError
 from .ingest import WindowSpec, _json_object, load_csv, load_partition, write_csv
-from .les import COVARIANCE_FUNCTIONS, clt_variance, get_function, lln_expectation, msr_moments
+from .les import FUNCTIONS, theoretical_moments
 from .mapgen import render_run
 from .pca import residual_series, train
-from .spectral import MarchenkoPastur
 from .synth import generate, load_scenario, table3_partition, table3_scenario
 
 ENV_SEED = "RMT_EED_SEED"
@@ -277,19 +276,14 @@ def _cmd_theory(args) -> int:
     check_kappa4(args.kappa4)
     if args.N < 1:
         raise ParameterError(f"cli: theory needs --N >= 1, got {args.N}")
+    if args.L < 1:
+        raise ParameterError(f"cli: theory needs a ring product depth (--L) >= 1, got {args.L}")
     if args.N >= args.T:  # the sweep's rule: DET and LRF diverge at c = 1
         raise ParameterError(
             f"cli: theory needs N < T for DET and LRF, got N={args.N}, T={args.T}"
         )
-    c = args.N / args.T
-    mm = msr_moments(c, args.L)
-    rows = [("MSR", mm.expectation, mm.variance)]
-    law = MarchenkoPastur(kind="mp2", c=c, sigma2=1.0)
-    for name in COVARIANCE_FUNCTIONS:
-        f = get_function(name)
-        e = lln_expectation(f, law, args.N)
-        d = clt_variance(f, c, kappa4=args.kappa4)
-        rows.append((name, e, d))
+    rows = [(f.name, *theoretical_moments(f, args.N, args.T, args.L, args.kappa4))
+            for f in FUNCTIONS.values()]
     for name, e, d in rows:
         if not (np.isfinite(e) and np.isfinite(d) and d >= 0):
             # near c = 0, the MSR variance E[r^2] - E[r]^2 cancels below zero
@@ -297,7 +291,7 @@ def _cmd_theory(args) -> int:
                 f"cli: theory at N={args.N}, T={args.T}: {name} moments E={e}, D={d} are "
                 "not a finite mean and nonnegative variance"
             )
-    print(f"N={args.N} T={args.T} c={c:.4f} L={args.L} kappa4={args.kappa4}")
+    print(f"N={args.N} T={args.T} c={args.N / args.T:.4f} L={args.L} kappa4={args.kappa4}")
     print(f"{'function':<10}{'E':>14}{'D':>14}{'c_v':>12}")
     for name, e, d in rows:
         cv = np.sqrt(d) / e if e != 0 else np.nan

@@ -50,14 +50,12 @@ from .errors import (
 from .ingest import DataSource, RegionPartition, WindowSpec, _csv_rows
 from .les import (
     LOG_CLAMP,
-    RING_FUNCTIONS,
-    clt_variance,
+    TestFunction,
     get_function,
-    lln_expectation,
     map_spectra,
     mc_ring_msr,
-    msr_moments,
     stacked_taus,
+    theoretical_moments,
     window_spectra,
 )
 from .rmm import DEGENERATE_POLICIES
@@ -65,7 +63,6 @@ from .rmm import DEGENERATE_POLICIES
 # name up in this namespace.
 from .rmm import ring_product  # noqa: F401
 from .rng import window_seed
-from .spectral import MarchenkoPastur
 
 WHOLE_SYSTEM = "ALL"
 INDICATOR_COLUMNS = ("t", "region", "function", "tau", "eta", "flag")
@@ -122,7 +119,8 @@ class DetectorConfig:
             raise ParameterError("detect: gap tolerance must be >= 0 and min duration >= 1")
         if self.mc_reps < 2:
             raise ParameterError(
-                f"detect: mc_reps must be >= 2 for a Monte Carlo variance, got {self.mc_reps}"
+                f"detect: mc_reps (--mc-reps) must be >= 2 for a Monte Carlo variance, "
+                f"got {self.mc_reps}"
             )
         if self.degenerate_policy not in DEGENERATE_POLICIES:
             raise ParameterError(
@@ -239,16 +237,16 @@ def _series(
     stacks = map_spectra(spectra_at, ends.tolist(), [sub.n for sub in subs], fns)
     data = {}
     for (block, sub), spectra in zip(blocks.items(), stacks):
-        for name, tau in stacked_taus(*spectra, fns).items():
-            data[(block, name)] = _track(cfg, block, name, sub.n, tau, calib)
+        taus = stacked_taus(*spectra, fns)
+        for f in fns:
+            data[(block, f.name)] = _track(cfg, block, f, sub.n, taus[f.name], calib)
     return IndicatorSeries(t=ends, data=data, meta=_meta(cfg, src))
 
 
 def _track(
-    cfg: DetectorConfig, block: str, name: str, N: int, tau: np.ndarray, calib: np.ndarray
+    cfg: DetectorConfig, block: str, f: TestFunction, N: int, tau: np.ndarray, calib: np.ndarray
 ) -> FunctionSeries:
     """One (block, function) track: its reference moments, eta and flags."""
-    c = N / cfg.window.T
     if cfg.reference == "calibration":
         sel = tau[calib]
         if len(sel) < 2:
@@ -262,25 +260,23 @@ def _track(
             # with a zero band, one ulp of drift flags a window
             lo, hi = cfg.calibration_range
             raise ConfigurationError(
-                f"detect: block {block!r}, function {name}: tau does not vary over the "
+                f"detect: block {block!r}, function {f.name}: tau does not vary over the "
                 f"calibration range [{lo}, {hi}] (sd {sd:.3g}, mean {e_flag:.6g}); "
                 "pick a range where the data fluctuates"
             )
         mode = "calibration"
-    elif name in RING_FUNCTIONS:
-        e_eta = msr_moments(c, cfg.window.L).expectation
-        e_flag, d_flag = mc_ring_msr(N, cfg.window.T, cfg.window.L, reps=cfg.mc_reps,
-                                     seed_base=cfg.base_seed)
-        mode = "monte-carlo"
     else:
-        f = get_function(name)
-        e_eta = e_flag = lln_expectation(f, MarchenkoPastur(kind="mp2", c=c, sigma2=1.0), N)
-        d_flag = clt_variance(f, c, kappa4=cfg.kappa4)
-        mode = "theoretical"
+        e_eta, d_flag = theoretical_moments(f, N, cfg.window.T, cfg.window.L, cfg.kappa4)
+        e_flag, mode = e_eta, "theoretical"
+        if f.ring:
+            # the asymptotic radial moments are biased at finite N: flag by Monte Carlo
+            e_flag, d_flag = mc_ring_msr(N, cfg.window.T, cfg.window.L, reps=cfg.mc_reps,
+                                         seed_base=cfg.base_seed)
+            mode = "monte-carlo"
     if not (np.isfinite(e_flag) and np.isfinite(d_flag) and d_flag >= 0):
         # a NaN reference makes every comparison False: the track would never flag
         raise NumericalFailureError(
-            f"detect: block {block!r}, function {name}: {mode} reference moments "
+            f"detect: block {block!r}, function {f.name}: {mode} reference moments "
             f"E={e_flag}, D={d_flag} are not a finite mean and nonnegative variance"
         )
     eta = tau / e_eta if e_eta != 0.0 else np.full_like(tau, np.nan)

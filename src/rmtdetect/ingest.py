@@ -126,11 +126,11 @@ class WindowSpec:
 
     def __post_init__(self):
         if self.T < 1:
-            raise ParameterError(f"ingest: window length must be >= 1, got {self.T}")
+            raise ParameterError(f"ingest: window length (--T) must be >= 1, got {self.T}")
         if self.stride < 1:
-            raise ParameterError(f"ingest: stride must be >= 1, got {self.stride}")
+            raise ParameterError(f"ingest: stride (--stride) must be >= 1, got {self.stride}")
         if self.L < 1:
-            raise ParameterError(f"ingest: product depth must be >= 1, got {self.L}")
+            raise ParameterError(f"ingest: ring product depth (--L) must be >= 1, got {self.L}")
 
 
 def _parse_cell(text: str) -> float:

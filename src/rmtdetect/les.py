@@ -1,17 +1,16 @@
 """Linear eigenvalue statistics and their theoretical moments.
 
-An LES is tau = sum_i phi(lambda_i) for a scalar test function phi. The
-named functions follow two conventions: MSR is the 1/N-AVERAGED modulus of
-a ring spectrum, everything else is the plain sum over a covariance
-spectrum. Each indicator series records which convention produced it.
+An LES is tau = sum_i phi(lambda_i) for a scalar test function phi. A ring
+function (TestFunction.ring: MSR) is the 1/N-averaged modulus over the ring
+spectrum; every other function sums phi over the covariance spectrum of M.
 DET and LRF take logarithms, so they need N < T (the sweep checks every
 block). The package does not re-export the function `les`, so
 `rmtdetect.les` stays this module.
 
-Theoretical references:
+Theoretical references, which theoretical_moments picks per function:
 
 * lln_expectation -- N * integral of phi against the limiting density
-  (plain integral for MSR);
+  (plain integral for a ring function);
 * msr_moments     -- the ring law's radial moments in closed form, for
   every product depth L;
 * clt_variance    -- the Gaussian fluctuation variance of a covariance LES,
@@ -30,7 +29,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,9 +79,10 @@ def _add_clamp_events(n: int) -> None:
 class TestFunction:
     """Named scalar map over eigenvalues.
 
-    domain "positive" marks log-domain functions whose argument must stay
-    strictly positive; "modulus" marks functions of |lambda| on complex
-    spectra; "real" imposes nothing.
+    ring=True marks a function of |lambda| on the ring spectrum whose tau
+    carries 1/N (MSR); every other function reads the covariance spectrum
+    of M and sums phi. domain "positive" marks log-domain functions whose
+    argument must stay strictly positive; "real" imposes nothing.
     """
 
     __test__ = False  # the name means "LES test function", not a pytest class
@@ -91,10 +91,10 @@ class TestFunction:
     phi: Callable[[np.ndarray], np.ndarray]
     deriv: Optional[Callable[[np.ndarray], np.ndarray]] = None
     domain: str = "real"
-    averaged: bool = False  # True: tau carries 1/N (the MSR convention)
+    ring: bool = False
 
 
-MSR = TestFunction("MSR", phi=np.abs, domain="modulus", averaged=True)
+MSR = TestFunction("MSR", phi=np.abs, ring=True)
 T2 = TestFunction("T2", phi=lambda x: 2 * x**2 - 1, deriv=lambda x: 4 * x)
 T3 = TestFunction("T3", phi=lambda x: 4 * x**3 - 3 * x, deriv=lambda x: 12 * x**2 - 3)
 T4 = TestFunction(
@@ -106,9 +106,6 @@ LRF = TestFunction(
 )
 
 FUNCTIONS: Dict[str, TestFunction] = {f.name: f for f in (MSR, T2, T3, T4, DET, LRF)}
-
-RING_FUNCTIONS = ("MSR",)
-COVARIANCE_FUNCTIONS = ("T2", "T3", "T4", "DET", "LRF")
 
 
 def get_function(name: str) -> TestFunction:
@@ -122,7 +119,7 @@ def get_function(name: str) -> TestFunction:
 
 def les(spectrum, f: TestFunction):
     """Empirical LES of a spectrum: sum phi(lambda_i), or the mean modulus
-    when f is averaged (MSR).
+    when f is a ring function (MSR).
 
     On a stack of spectra, one per row, it returns one tau per row, each
     the same bits as a call on that row alone. Log-domain functions floor
@@ -131,7 +128,7 @@ def les(spectrum, f: TestFunction):
     of nonpositive ones to the counter behind clamp_event_count().
     """
     lam = np.asarray(getattr(spectrum, "eigenvalues", spectrum))
-    if f.domain == "modulus":
+    if f.ring:
         vals = np.abs(lam)
     else:
         vals = lam.real.astype(float)
@@ -142,7 +139,7 @@ def les(spectrum, f: TestFunction):
             vals = np.maximum(vals, LOG_CLAMP)
     # a sum along the contiguous last axis adds each row as the 1-D sum does
     out = np.sum(f.phi(vals), axis=-1)
-    if f.averaged:
+    if f.ring:
         out = out / lam.shape[-1]
     return float(out) if out.ndim == 0 else out
 
@@ -152,7 +149,7 @@ Spectra = Tuple[Optional[np.ndarray], Optional[np.ndarray]]
 
 def _needs(functions: Sequence[TestFunction]) -> Tuple[bool, bool]:
     """Whether some function needs the ring spectrum, and some the covariance one."""
-    ring = [f.name in RING_FUNCTIONS for f in functions]
+    ring = [f.ring for f in functions]
     return any(ring), not all(ring)
 
 
@@ -213,7 +210,7 @@ def stacked_taus(
         rows = slice(lo, lo + STACK_ROWS)
         floored = None if cov is None else _covariance_floor(cov[rows])
         for f in functions:
-            lam = ring[rows] if f.name in RING_FUNCTIONS else floored
+            lam = ring[rows] if f.ring else floored
             parts[f.name].append(les(lam, f))
     return {name: np.concatenate(taus) for name, taus in parts.items()}
 
@@ -260,8 +257,8 @@ def lln_expectation(f: TestFunction, d, N: int) -> float:
     """Law-of-large-numbers limit: N * integral of phi against the law d
     (RingLaw or MarchenkoPastur).
 
-    MSR returns the plain integral (no N factor), matching its averaged
-    convention.
+    A ring function (MSR) returns the plain integral (no N factor),
+    matching its 1/N-averaged tau.
     """
     if f.domain == "positive":
         lo, _ = d.support()
@@ -270,11 +267,10 @@ def lln_expectation(f: TestFunction, d, N: int) -> float:
                 f"les: {f.name} against {d.kind} with support touching zero diverges"
             )
     mean = d.mean_phi(f.phi)
-    return mean if f.averaged else N * mean
+    return mean if f.ring else N * mean
 
 
-@dataclass(frozen=True)
-class TheoreticalMoments:
+class TheoreticalMoments(NamedTuple):
     expectation: float
     variance: float
 
@@ -310,8 +306,8 @@ def clt_variance(f: TestFunction, c: float, kappa4: float = 0.0) -> float:
     law = MarchenkoPastur(kind="mp2", c=c, sigma2=1.0)
     if f.domain == "positive" and law.support()[0] <= 0:
         raise DivergenceError(f"les: {f.name} is singular on a support touching zero")
-    if f.averaged:
-        raise ContractError("les: clt_variance covers covariance LESs, not the averaged MSR")
+    if f.ring:
+        raise ContractError("les: clt_variance covers covariance LESs, not a ring function")
 
     def total(n):
         x, w = _leggauss(n)
@@ -341,6 +337,19 @@ def clt_variance(f: TestFunction, c: float, kappa4: float = 0.0) -> float:
         return v
 
     return _converge(total, 1e-7, start=64, cap=2048)
+
+
+def theoretical_moments(
+    f: TestFunction, N: int, T: int, L: int = 1, kappa4: float = 0.0
+) -> TheoreticalMoments:
+    """The asymptotic reference of f on N x T windows, unchecked: the ring
+    law's radial moments at depth L for a ring function, else the mp2
+    expectation with the fluctuation variance at excess kurtosis kappa4."""
+    c = N / T
+    if f.ring:
+        return msr_moments(c, L)
+    law = MarchenkoPastur(kind="mp2", c=c, sigma2=1.0)
+    return TheoreticalMoments(lln_expectation(f, law, N), clt_variance(f, c, kappa4=kappa4))
 
 
 # ---------------------------------------------------------------------------

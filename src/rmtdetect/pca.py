@@ -142,6 +142,12 @@ def train(
             f"pca: pilot basis is ill-conditioned (condition number {cond:.3e})"
         )
     gram = yb.T @ yb
+    if not (np.diagonal(gram) >= np.finfo(float).tiny).all():
+        # the condition number is scale-free; a subnormal Gram solves to NaN
+        raise ParameterError(
+            f"pca: the pilots' Gram matrix on the training range (--train) [{lo}, {hi}) "
+            "underflows float64 (a diagonal entry is subnormal); rescale the data"
+        )
     coef = np.linalg.solve(gram, yb.T @ y[:, nonpilots])
     resid = y[:, nonpilots] - yb @ coef
     rms = np.sqrt((resid**2).mean(axis=0))

@@ -54,6 +54,12 @@ def test_spectral_imports_only_errors_and_rng_from_the_package():
     assert _package_imports(ROOT / "src" / "rmtdetect" / "spectral.py") <= {"errors", "rng"}
 
 
+def test_detect_and_cli_leave_the_limiting_laws_to_les():
+    # les.theoretical_moments picks each function's law; the callers judge its moments
+    for name in ("detect.py", "cli.py"):
+        assert "spectral" not in _package_imports(ROOT / "src" / "rmtdetect" / name)
+
+
 def test_workers_imports_nothing_from_the_package():
     # the worker processes know nothing of windows, spectra or tracks
     assert _package_imports(ROOT / "src" / "rmtdetect" / "workers.py") == set()

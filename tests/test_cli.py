@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rmtdetect import DataSource, load_csv, sample_gaussian_matrix, write_csv
+from rmtdetect import (
+    DataSource, DetectorConfig, WindowSpec, load_csv, sample_gaussian_matrix, sweep, write_csv,
+)
 from rmtdetect.cli import _build_parser, main
 
 
@@ -160,6 +162,29 @@ def test_theory_variance_lost_to_rounding_is_a_numerical_failure(capsys):
     code, out, err = run_cli(capsys, "theory", "--N", "10", "--T", "1638077")
     assert code == 2 and out == ""
     assert "error [NumericalFailureError]" in err and "MSR" in err and "T=1638077" in err
+
+
+def test_theory_table_and_a_theoretical_sweep_read_the_same_references(capsys):
+    # the table prints what each track of a sweep at the same N, T, kappa4
+    # judges by: the covariance tracks' flag moments and MSR's eta expectation
+    n, t, kappa4 = 12, 40, 0.7
+    code, out, _ = run_cli(capsys, "theory", "--N", str(n), "--T", str(t), "--kappa4", str(kappa4))
+    assert code == 0
+    table = _theory_table(out)
+    cfg = DetectorConfig(window=WindowSpec(T=t, stride=3), functions=tuple(table),
+                         kappa4=kappa4, mc_reps=20)
+    series = sweep(sample_gaussian_matrix(n, t + 6, seed=3), cfg)
+
+    def printed(x):
+        return float(f"{x:.6g}")
+
+    assert sorted(table) == ["DET", "LRF", "MSR", "T2", "T3", "T4"]
+    for name, (e, d, _) in table.items():
+        fs = series.data[("ALL", name)]
+        if name == "MSR":
+            assert printed(fs.e_eta) == e
+        else:
+            assert (printed(fs.e_flag), printed(fs.d_flag)) == (e, d)
 
 
 @pytest.mark.parametrize("m_prime", ["0", "18"])
@@ -687,6 +712,22 @@ INPUT_EXITS = [
                                    "--input", "huge.csv"], None,
      "ParameterError", "pca: the Gram matrix of the training range (--train) [0, 30) overflows "
      "float64"),
+    # the pilots' Gram underflowed to subnormals: the solve gave NaN residuals and exit 0
+    ("train-gram-subnormal", ["pca-baseline", "--train", "0:30", "--m-prime", "2",
+                              "--input", "tiny.csv"], None,
+     "ParameterError", "pca: the pilots' Gram matrix on the training range (--train) [0, 30) "
+     "underflows float64"),
+    # the window and Monte Carlo checks named no flag
+    ("window-length-zero", ["analyze", "--T", "0"], None,
+     "ParameterError", "window length (--T) must be >= 1, got 0"),
+    ("stride-zero", ["analyze", "--stride", "0"], None,
+     "ParameterError", "stride (--stride) must be >= 1, got 0"),
+    ("product-depth-zero", ["analyze", "--L", "0"], None,
+     "ParameterError", "ring product depth (--L) must be >= 1, got 0"),
+    ("mc-reps-one", ["analyze", "--mc-reps", "1"], None,
+     "ParameterError", "mc_reps (--mc-reps) must be >= 2 for a Monte Carlo variance, got 1"),
+    ("theory-product-depth-zero", ["theory", "--N", "10", "--T", "20", "--L", "0"], None,
+     "ParameterError", "theory needs a ring product depth (--L) >= 1, got 0"),
     ("inf-header-analyze", ["analyze", "--input", "inf.csv"], None,
      "MalformedInputError", "inf.csv header is not numeric timestamps"),
     ("inf-header-pca", ["pca-baseline", "--train", "0:100", "--input", "inf.csv"], None,
@@ -711,6 +752,8 @@ def test_input_exits_name_their_cause(small_run, tmp_path, capsys, monkeypatch,
     huge = sample_gaussian_matrix(6, 60, seed=1)
     write_csv(DataSource(huge.values * 1e154, huge.node_ids, huge.timestamps),
               tmp_path / "huge.csv")
+    write_csv(DataSource(huge.values * 1e-160, huge.node_ids, huge.timestamps),
+              tmp_path / "tiny.csv")
     (tmp_path / "regions.json").write_text('{"A": ["bus1"]}')
     (tmp_path / "cfg.json").write_text("{}")
     if env_seed is not None:

@@ -18,6 +18,7 @@ from rmtdetect import (
     sweep,
 )
 import rmtdetect.detect as detect_module
+import rmtdetect.les as les_module
 from rmtdetect.detect import (
     FunctionSeries,
     IndicatorSeries,
@@ -336,7 +337,7 @@ def test_non_finite_reference_moment_names_block_and_function(monkeypatch):
         regional_series(src, small_cfg(regions=part, mc_reps=20))
     # a negative fluctuation variance; kappa4 < -2, which once produced one,
     # is now rejected with the config
-    monkeypatch.setattr(detect_module, "clt_variance", lambda f, c, kappa4: -0.5)
+    monkeypatch.setattr(les_module, "clt_variance", lambda f, c, kappa4: -0.5)
     with pytest.raises(NumericalFailureError, match=r"block 'ALL', function T2.*D=-0.5"):
         sweep(src, small_cfg(functions=("T2",)))
 
