@@ -32,10 +32,11 @@ from .detect import (
     write_indicator_csv,
 )
 from .errors import ConfigurationError, NumericalFailureError, ParameterError, RmtDetectError
-from .ingest import WindowSpec, _json_object, load_csv, load_partition, write_csv
+from .ingest import MISSING_POLICIES, WindowSpec, _json_object, load_csv, load_partition, write_csv
 from .les import FUNCTIONS, theoretical_moments
 from .mapgen import render_run
 from .pca import residual_series, train
+from .rmm import DEGENERATE_POLICIES
 from .synth import generate, load_scenario, table3_partition, table3_scenario
 
 ENV_SEED = "RMT_EED_SEED"
@@ -97,8 +98,8 @@ def _build_parser() -> Tuple[_Parser, Dict[str, _Parser]]:
                     help='"theoretical" or "calib:START:END" (window-end range, inclusive)')
     an.add_argument("--kappa4", type=float, default=0.0)
     an.add_argument("--mc-reps", type=int, default=200)
-    an.add_argument("--missing", default="error", choices=["error", "forward-fill", "row-mean"])
-    an.add_argument("--degenerate", default="error", choices=["error", "jitter"])
+    an.add_argument("--missing", default="error", choices=MISSING_POLICIES)
+    an.add_argument("--degenerate", default="error", choices=DEGENERATE_POLICIES)
     an.add_argument("--out", required=True, help="output directory")
 
     th = command("theory", help="print theoretical E, D, c_v for the named functions")
@@ -113,7 +114,7 @@ def _build_parser() -> Tuple[_Parser, Dict[str, _Parser]]:
     pc.add_argument("--m-prime", type=int, default=3, help="number of pilot channels")
     pc.add_argument("--m", type=int, default=None, help="principal subspace dimension")
     pc.add_argument("--k", type=float, default=3.0)
-    pc.add_argument("--missing", default="error", choices=["error", "forward-fill", "row-mean"])
+    pc.add_argument("--missing", default="error", choices=MISSING_POLICIES)
     pc.add_argument("--out", required=True)
 
     mf = command("mapframes", help="render indicator values as spatial grid frames")
@@ -278,10 +279,9 @@ def _cmd_theory(args) -> int:
         raise ParameterError(f"cli: theory needs --N >= 1, got {args.N}")
     if args.L < 1:
         raise ParameterError(f"cli: theory needs a ring product depth (--L) >= 1, got {args.L}")
-    if args.N >= args.T:  # the sweep's rule: DET and LRF diverge at c = 1
-        raise ParameterError(
-            f"cli: theory needs N < T for DET and LRF, got N={args.N}, T={args.T}"
-        )
+    if args.N >= args.T:  # the sweep's rule: the log-domain functions diverge at c = 1
+        logs = " and ".join(f.name for f in FUNCTIONS.values() if f.domain == "positive")
+        raise ParameterError(f"cli: theory needs N < T for {logs}, got N={args.N}, T={args.T}")
     rows = [(f.name, *theoretical_moments(f, args.N, args.T, args.L, args.kappa4))
             for f in FUNCTIONS.values()]
     for name, e, d in rows:
@@ -314,19 +314,13 @@ def _cmd_pca(args) -> int:
         raise ConfigurationError(f"cli: bad training range {args.train!r}; expected START:END") from None
     model = train(src, (lo, hi), m_prime=args.m_prime, m=args.m)
     ts, resid = residual_series(model, src)
+    # the sweep's rule with E = 0 and D = the training RMS^2; |residual| >= 0
+    training = (ts >= lo) & (ts < hi)
     data = {}
     for j, nid in enumerate(model.nonpilot_ids):
         std = float(model.train_residual_std[j])
-        flag = ((ts < lo) | (ts >= hi)) & (resid[j] > args.k * std)
-        data[(nid, "PCA")] = FunctionSeries(
-            tau=resid[j],
-            eta=resid[j] / std if std > 0 else np.full_like(resid[j], np.nan),
-            flag=flag,
-            e_eta=std,
-            e_flag=0.0,
-            d_flag=std**2,
-            reference="pca-training",
-        )
+        data[(nid, "PCA")] = FunctionSeries.judged(resid[j], std, 0.0, std**2, "pca-training",
+                                                   args.k, training)
     series = IndicatorSeries(
         t=ts,
         data=data,

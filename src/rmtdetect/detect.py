@@ -131,7 +131,8 @@ class DetectorConfig:
 
 @dataclass
 class FunctionSeries:
-    """One (region, function) track of the sweep."""
+    """One (region, function) track. The sweep and pca-baseline both build
+    theirs by `judged`, the one flag rule."""
 
     tau: np.ndarray
     eta: np.ndarray
@@ -139,7 +140,16 @@ class FunctionSeries:
     e_eta: float              # expectation used for eta
     e_flag: float             # expectation used for flagging
     d_flag: float             # variance used for flagging
-    reference: str            # "theoretical" | "monte-carlo" | "calibration"
+    reference: str            # "theoretical" | "monte-carlo" | "calibration" | "pca-training"
+
+    @classmethod
+    def judged(cls, tau: np.ndarray, e_eta: float, e_flag: float, d_flag: float,
+               reference: str, k: float, calib: np.ndarray) -> "FunctionSeries":
+        """eta = tau / e_eta (NaN when e_eta is 0); a sample outside the
+        calibration mask `calib` flags when |tau - e_flag| > k sqrt(d_flag)."""
+        eta = tau / e_eta if e_eta != 0.0 else np.full_like(tau, np.nan)
+        flag = ~calib & (np.abs(tau - e_flag) > k * np.sqrt(d_flag))
+        return cls(tau, eta, flag, e_eta, e_flag, d_flag, reference)
 
 
 @dataclass
@@ -182,21 +192,25 @@ class EventReport:
 # ---------------------------------------------------------------------------
 
 
-def _check_blocks(blocks: Dict[str, DataSource], cfg: DetectorConfig) -> None:
-    """Reject every block too wide for the window, before any window runs.
+def _too_wide(n: int, cfg: DetectorConfig) -> Optional[str]:
+    """Why a block of n nodes cannot be swept with the window, or None.
 
     Every function needs N <= T. DET and LRF need N < T: standardized rows
     have rank at most T - 1, so M is singular at N = T.
     """
     T = cfg.window.T
     logs = [name for name in cfg.functions if get_function(name).domain == "positive"]
+    if n > T or (n == T and logs):
+        names, need = (cfg.functions, "<=") if n > T else (logs, "<")
+        return f"{n} nodes for window length {T}; {', '.join(names)} need N {need} T"
+    return None
+
+
+def _check_blocks(blocks: Dict[str, DataSource], cfg: DetectorConfig) -> None:
+    """Reject every block _too_wide for the window, before any window runs."""
     for block, sub in blocks.items():
-        if sub.n > T or (sub.n == T and logs):
-            names, need = (cfg.functions, "<=") if sub.n > T else (logs, "<")
-            raise AspectRatioError(
-                f"detect: block {block!r} has {sub.n} nodes for window length {T}; "
-                f"{', '.join(names)} need N {need} T"
-            )
+        if why := _too_wide(sub.n, cfg):
+            raise AspectRatioError(f"detect: block {block!r} has {why}")
 
 
 def _series(
@@ -246,23 +260,24 @@ def _series(
 def _track(
     cfg: DetectorConfig, block: str, f: TestFunction, N: int, tau: np.ndarray, calib: np.ndarray
 ) -> FunctionSeries:
-    """One (block, function) track: its reference moments, eta and flags."""
+    """One (block, function) track: its reference moments, then judged."""
     if cfg.reference == "calibration":
         sel = tau[calib]
+        lo, hi = cfg.calibration_range
         if len(sel) < 2:
             raise ConfigurationError(
-                f"detect: calibration range holds {len(sel)} windows; need at least 2"
+                f"detect: calibration range holds {len(sel)} windows; need at least 2 "
+                f"window ends inside --reference calib:{lo}:{hi}"
             )
         e_eta = e_flag = float(sel.mean())
         d_flag = float(sel.var(ddof=1))
         sd = np.sqrt(d_flag)
         if sd <= 1e-12 * max(1.0, abs(e_flag)):
             # with a zero band, one ulp of drift flags a window
-            lo, hi = cfg.calibration_range
             raise ConfigurationError(
                 f"detect: block {block!r}, function {f.name}: tau does not vary over the "
                 f"calibration range [{lo}, {hi}] (sd {sd:.3g}, mean {e_flag:.6g}); "
-                "pick a range where the data fluctuates"
+                "pick a range (--reference calib:START:END) where the data fluctuates"
             )
         mode = "calibration"
     else:
@@ -279,12 +294,7 @@ def _track(
             f"detect: block {block!r}, function {f.name}: {mode} reference moments "
             f"E={e_flag}, D={d_flag} are not a finite mean and nonnegative variance"
         )
-    eta = tau / e_eta if e_eta != 0.0 else np.full_like(tau, np.nan)
-    flag = ~calib & (np.abs(tau - e_flag) > cfg.threshold_k * np.sqrt(d_flag))
-    return FunctionSeries(
-        tau=tau, eta=eta, flag=flag,
-        e_eta=e_eta, e_flag=e_flag, d_flag=d_flag, reference=mode,
-    )
+    return FunctionSeries.judged(tau, e_eta, e_flag, d_flag, mode, cfg.threshold_k, calib)
 
 
 def sweep(src: DataSource, cfg: DetectorConfig) -> IndicatorSeries:
@@ -297,20 +307,16 @@ def regional_series(src: DataSource, cfg: DetectorConfig) -> IndicatorSeries:
 
     Regions are intersected with the nodes present in the source; regions
     left with fewer than 2 nodes are skipped with a warning, and so is "ALL"
-    when the whole system is wider than the window. Every other block is
-    checked against the window before any window runs.
+    when _too_wide rejects the whole system. _check_blocks rejects a region
+    by that same rule, before any window runs.
     """
     if cfg.regions is None:
         raise ConfigurationError("detect: regional series needs a region partition")
-    blocks = {WHOLE_SYSTEM: src} if src.n <= cfg.window.T else {}
-    if not blocks:
-        # too wide for one block: analyze per region only (blockwise mode)
-        warnings.warn(
-            f"detect: whole system of {src.n} nodes exceeds T={cfg.window.T}; "
-            'skipping the "ALL" series',
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    why = _too_wide(src.n, cfg)
+    blocks = {} if why else {WHOLE_SYSTEM: src}
+    if why:  # analyze per region only (blockwise mode)
+        warnings.warn(f'detect: whole system has {why}; skipping the "ALL" series',
+                      RuntimeWarning, stacklevel=2)
     for region, members in sorted(cfg.regions.regions.items()):
         if region == WHOLE_SYSTEM:
             raise ContractError('detect: region name "ALL" is reserved for the whole system')
@@ -460,12 +466,20 @@ def read_indicator_csv(path) -> IndicatorSeries:
         if len(rec) != len(header):
             raise MalformedInputError(f"{what} row {r}: {len(rec)} cells, expected {len(header)}")
         t, region, function, tau, eta, flag = (rec[j] for j in cols)
-        try:
-            rows.setdefault((region, function), {})[int(t)] = (
-                float(tau), float(eta), flag == "anomalous"
+        if flag not in ("normal", "anomalous"):
+            raise MalformedInputError(
+                f"{what} row {r}: flag {flag!r} is neither 'normal' nor 'anomalous'"
             )
+        try:
+            t, value = int(t), (float(tau), float(eta), flag == "anomalous")
         except ValueError:
             raise MalformedInputError(f"{what} row {r}: t, tau or eta is not a number") from None
+        track = rows.setdefault((region, function), {})
+        if t in track:
+            raise MalformedInputError(
+                f"{what} row {r}: repeats t={t} of region {region!r}, function {function!r}"
+            )
+        track[t] = value
     if not rows:
         raise MalformedInputError(f"{what} holds no indicator rows")
     ts = sorted(next(iter(rows.values())).keys())

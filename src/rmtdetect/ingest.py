@@ -296,14 +296,12 @@ def load_partition(path) -> RegionPartition:
                     f"ingest: partition file {path}: node {nid!r} needs an [x, y] pair of "
                     f"finite numbers, got {json.dumps(xy)}"
                 )
-        layout = {k: (float(v[0]), float(v[1])) for k, v in layout.items()}
     for name, nodes in raw.items():
         if not (isinstance(nodes, list) and all(isinstance(nid, str) for nid in nodes)):
             raise MalformedInputError(
                 f"ingest: partition file {path}: region {name!r} needs a list of node ids "
                 f"(strings), got {json.dumps(nodes)}"
             )
-    regions = {name: tuple(nodes) for name, nodes in raw.items()}
-    if not regions and layout is None:
+    if not raw and layout is None:
         raise MalformedInputError(f"ingest: {path} defines no regions and no layout")
-    return RegionPartition(regions, layout)
+    return RegionPartition(raw, layout)

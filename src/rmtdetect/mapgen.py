@@ -68,16 +68,21 @@ def render_run(
     if not layout:
         raise ConfigurationError("mapgen: rendering needs a layout")
     if frame_stride < 1:
-        raise ConfigurationError(f"mapgen: frame stride must be >= 1, got {frame_stride}")
+        raise ConfigurationError(
+            f"mapgen: frame stride (--stride) must be >= 1, got {frame_stride}"
+        )
     functions = series.functions()
     if function is None:
         if len(functions) != 1:
             raise ConfigurationError(
-                f"mapgen: series holds functions {functions}; pick one to render"
+                f"mapgen: series holds functions {functions}; pick one to render "
+                "with --function"
             )
         function = functions[0]
     elif function not in functions:
-        raise ConfigurationError(f"mapgen: series has no function {function!r}")
+        raise ConfigurationError(
+            f"mapgen: series has no function {function!r} (--function); it holds {functions}"
+        )
     xs, ys = zip(*layout.values())
     bounds = (min(xs), max(xs), min(ys), max(ys))
     tracks = _node_tracks(series, function, partition, layout)
@@ -86,7 +91,7 @@ def render_run(
             "mapgen: no renderable node values; regions and layout do not overlap"
         )
     if grid_size < 2:
-        raise ContractError(f"mapgen: grid size must be >= 2, got {grid_size}")
+        raise ContractError(f"mapgen: grid size (--grid) must be >= 2, got {grid_size}")
     if not (np.isfinite(power) and power > 0):  # d**-nan and d**-inf make every cell NaN
         raise ParameterError(
             f"mapgen: IDW power (--power) must be finite and positive, got {power}"

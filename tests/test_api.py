@@ -77,3 +77,16 @@ def test_only_les_reads_its_private_names():
             elif isinstance(node, ast.ImportFrom) and node.module in ("les", "rmtdetect.les"):
                 readers += [(path.name, a.name) for a in node.names if a.name.startswith("_")]
     assert readers == []
+
+
+def test_only_detect_builds_a_function_series_field_by_field():
+    # analyze and pca-baseline flag by one rule, FunctionSeries.judged
+    builders = []
+    for path in (ROOT / "src" / "rmtdetect").glob("*.py"):
+        if path.name == "detect.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and "FunctionSeries" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                builders.append((path.name, node.lineno))
+    assert builders == []

@@ -734,6 +734,20 @@ INPUT_EXITS = [
      "MalformedInputError", "inf.csv header is not numeric timestamps"),
     ("layout-without-coordinates", ["mapframes", "--layout", "regions.json"], None,
      "ConfigurationError", "regions.json carries no layout coordinates"),
+    # the calibration and map-frame checks named no flag
+    ("calib-range-holds-no-window", ["analyze", "--reference", "calib:0:10"], None,
+     "ConfigurationError", "need at least 2 window ends inside --reference calib:0:10"),
+    ("calib-tau-constant", ["analyze", "--input", "periodic.csv", "--T", "40", "--stride", "20",
+                            "--functions", "T2", "--reference", "calib:39:159"], None,
+     "ConfigurationError", "pick a range (--reference calib:START:END) where the data"),
+    ("grid-below-two", ["mapframes", "--report", "two", "--function", "T2", "--grid", "1"], None,
+     "ContractError", "grid size (--grid) must be >= 2, got 1"),
+    ("frame-stride-zero", ["mapframes", "--stride", "0"], None,
+     "ConfigurationError", "frame stride (--stride) must be >= 1, got 0"),
+    ("function-not-in-report", ["mapframes", "--function", "T2"], None,
+     "ConfigurationError", "series has no function 'T2' (--function); it holds ['MSR']"),
+    ("function-not-picked", ["mapframes", "--report", "two"], None,
+     "ConfigurationError", "holds functions ['MSR', 'T2']; pick one to render with --function"),
     ("config-without-subcommand", ["--config", "cfg.json"], None,
      "ConfigurationError", "--config requires a subcommand"),
 ]
@@ -745,8 +759,18 @@ def test_input_exits_name_their_cause(small_run, tmp_path, capsys, monkeypatch,
                                       argv, env_seed, error, named):
     # --train 0:3 fitted three pilots exactly and flagged nearly every row;
     # an inf header cell ended in an OverflowError traceback
-    _, data, report = small_run
+    root, data, report = small_run
     (tmp_path / "inf.csv").write_text("node_id,0,inf\nbus1,1.0,2.0\nbus2,3.0,4.0\n")
+    # ten repeats of one 20-sample stretch: every calibration window is the same
+    rng = np.random.default_rng(1)
+    periodic = np.concatenate([np.tile(rng.standard_normal((10, 20)), 10),
+                               rng.standard_normal((10, 40))], axis=1)
+    write_csv(DataSource(periodic, tuple(f"n{i}" for i in range(10)), tuple(range(240))),
+              tmp_path / "periodic.csv")
+    (tmp_path / "two").mkdir()
+    (tmp_path / "two" / "indicator.csv").write_text(
+        "t,region,function,tau,eta,flag\r\n0,A1,MSR,1.0,1.0,normal\r\n0,A1,T2,1.0,1.0,normal\r\n"
+    )
     write_csv(DataSource(np.zeros((5, 40)), tuple(f"n{i}" for i in range(5)), tuple(range(40))),
               tmp_path / "zeros.csv")
     huge = sample_gaussian_matrix(6, 60, seed=1)
@@ -764,7 +788,7 @@ def test_input_exits_name_their_cause(small_run, tmp_path, capsys, monkeypatch,
     defaults = {
         "analyze": ["--input", str(data), "--T", "60", "--functions", "MSR", "--mc-reps", "20"],
         "pca-baseline": ["--input", str(data)],
-        "mapframes": ["--report", str(report)],
+        "mapframes": ["--report", str(report), "--layout", str(root / "partition.json")],
     }
     command, *flags = argv
     if command in defaults:

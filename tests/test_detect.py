@@ -405,6 +405,19 @@ def test_wide_system_falls_back_to_blockwise_regions():
     assert ("P", "MSR") in series.data and ("Q", "MSR") in series.data
 
 
+def test_whole_system_as_wide_as_the_window_is_skipped_under_lrf():
+    # _check_blocks and the "ALL" skip share one rule: N = T with LRF once
+    # stopped the sweep, while N = T + 1 skipped "ALL" and swept the regions
+    src = sample_gaussian_matrix(20, 120, seed=5)
+    part = RegionPartition({"P": src.node_ids[:10], "Q": src.node_ids[10:]})
+    cfg = small_cfg(window=WindowSpec(T=20, stride=10), functions=("T2", "LRF"), regions=part)
+    with pytest.warns(RuntimeWarning, match=r'20 nodes.*LRF need N < T; skipping the "ALL"'):
+        series = regional_series(src, cfg)
+    assert sorted(series.data) == [(r, f) for r in ("P", "Q") for f in ("LRF", "T2")]
+    narrow = small_cfg(window=WindowSpec(T=20, stride=10), functions=("T2",), regions=part)
+    assert ("ALL", "T2") in regional_series(src, narrow).data
+
+
 def test_reserved_region_name():
     src = sample_gaussian_matrix(8, 120, seed=5)
     part = RegionPartition({"ALL": src.node_ids[:4]})
@@ -533,6 +546,12 @@ READ_INDICATOR_EXITS = [
     ("header-only", "", "holds no indicator rows"),
     ("timestamps-differ", "0,A,MSR,1.0,1.0,normal\r\n1,B,MSR,1.0,1.0,normal\r\n",
      "inconsistent timestamps across tracks"),
+    # the writer never repeats a row: the second one silently overwrote the first
+    ("repeated-row", "1,ALL,MSR,0.5,1.0,normal\r\n1,ALL,MSR,0.9,1.0,normal\r\n",
+     "row 3: repeats t=1 of region 'ALL', function 'MSR'"),
+    # nor writes another flag word: "maybe" read as normal
+    ("unknown-flag", "1,ALL,MSR,0.5,1.0,maybe\r\n",
+     "row 2: flag 'maybe' is neither 'normal' nor 'anomalous'"),
 ]
 
 
@@ -543,7 +562,7 @@ def test_read_indicator_csv_input_exits(tmp_path, rows, named):
     p.write_text("t,region,function,tau,eta,flag\r\n" + rows)
     with pytest.raises(MalformedInputError) as info:
         read_indicator_csv(p)
-    assert info.value.exit_code == 1 and named in str(info.value)
+    assert info.value.exit_code == 1 and named in str(info.value) and str(p) in str(info.value)
 
 
 def test_events_json_schema(tmp_path):
