@@ -1,10 +1,11 @@
 """Command-line entry point wiring the pipeline together.
 
-Subcommands: simulate, analyze, theory, pca-baseline, mapframes. Every run
-writes a run.json capturing the resolved parameters, the seed, and the
-package version; two runs with identical run.json produce identical output
-files. Exit codes: 0 success, 1 input/contract errors, 2 numerical
-failures.
+Subcommands: simulate, analyze, theory, pca-baseline, mapframes. Every one
+but theory writes a run.json of the resolved parameters and the package
+version; two runs with identical run.json produce identical output files.
+Only simulate and analyze draw random numbers: they alone take --seed (else
+$RMT_EED_SEED, else 0). Exit codes: 0 success, 1 input/contract errors, 2
+numerical failures.
 """
 
 from __future__ import annotations
@@ -74,9 +75,9 @@ def _build_parser() -> Tuple[_Parser, Dict[str, _Parser]]:
     def command(name: str, help: str) -> _Parser:
         sp = commands[name] = sub.add_parser(name, help=help)
         sp.add_argument("--config", help="JSON file supplying defaults for any flag")
-        sp.add_argument("--seed", type=int, default=None,
-                        help=f"base RNG seed (falls back to ${ENV_SEED}, then 0)")
         return sp
+
+    seed_help = f"base RNG seed (falls back to ${ENV_SEED}, then 0)"
 
     sim = command("simulate", help="generate synthetic scenario data")
     sim.add_argument("--preset", choices=["table3"], help="bundled three-phase schedule")
@@ -84,6 +85,7 @@ def _build_parser() -> Tuple[_Parser, Dict[str, _Parser]]:
     sim.add_argument("--n", type=int, default=118)
     sim.add_argument("--t", type=int, default=1500)
     sim.add_argument("--noise-std", type=float, default=1.0)
+    sim.add_argument("--seed", type=int, help=seed_help)
     sim.add_argument("--out", required=True, help="output CSV path")
 
     an = command("analyze", help="moving-window detection sweep")
@@ -100,6 +102,7 @@ def _build_parser() -> Tuple[_Parser, Dict[str, _Parser]]:
     an.add_argument("--mc-reps", type=int, default=200)
     an.add_argument("--missing", default="error", choices=MISSING_POLICIES)
     an.add_argument("--degenerate", default="error", choices=DEGENERATE_POLICIES)
+    an.add_argument("--seed", type=int, help=seed_help)
     an.add_argument("--out", required=True, help="output directory")
 
     th = command("theory", help="print theoretical E, D, c_v for the named functions")
@@ -179,7 +182,7 @@ def _flag_value(key: str, value, action: argparse.Action):
     return out
 
 
-def _resolve_seed(args) -> int:
+def _resolve_seed(args) -> None:
     seed = args.seed
     if seed is None:
         env = os.environ.get(ENV_SEED)
@@ -189,12 +192,11 @@ def _resolve_seed(args) -> int:
             raise ConfigurationError(f"cli: ${ENV_SEED} must be an integer, got {env!r}") from None
     if seed < 0:  # numpy seeds take nonnegative entropy only
         raise ParameterError(f"cli: the seed (--seed or ${ENV_SEED}) must be >= 0, got {seed}")
-    return seed
+    args.seed = seed
 
 
-def _write_run_json(directory: Path, command: str, args, seed: int) -> None:
+def _write_run_json(directory: Path, command: str, args) -> None:
     params = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
-    params["seed"] = seed
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "run.json").write_text(
         json.dumps({"command": command, "version": __version__, "params": params},
@@ -209,7 +211,7 @@ def _write_run_json(directory: Path, command: str, args, seed: int) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    seed = _resolve_seed(args)
+    _resolve_seed(args)
     if bool(args.preset) == bool(args.scenario):
         raise ConfigurationError("cli: simulate needs exactly one of --preset / --scenario")
     out = Path(args.out)
@@ -219,14 +221,14 @@ def _cmd_simulate(args) -> int:
     else:
         sc = load_scenario(args.scenario)
         partition = None
-    src = generate(sc, seed)
+    src = generate(sc, args.seed)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(src, out)
     if partition is not None:
         payload = {name: list(nodes) for name, nodes in partition.regions.items()}
         payload["layout"] = {nid: list(xy) for nid, xy in partition.layout.items()}
         (out.parent / "partition.json").write_text(json.dumps(payload, indent=2), encoding="utf-8")
-    _write_run_json(out.parent, "simulate", args, seed)
+    _write_run_json(out.parent, "simulate", args)
     print(f"wrote {src.n}x{src.t} source to {out}")
     return 0
 
@@ -246,7 +248,7 @@ def _parse_reference(text: str):
 
 
 def _cmd_analyze(args) -> int:
-    seed = _resolve_seed(args)
+    _resolve_seed(args)
     src = load_csv(args.input, policy=args.missing)
     partition = load_partition(args.partition) if args.partition else None
     mode, calib = _parse_reference(args.reference)
@@ -257,7 +259,7 @@ def _cmd_analyze(args) -> int:
         reference=mode,
         calibration_range=calib,
         regions=partition,
-        base_seed=seed,
+        base_seed=args.seed,
         kappa4=args.kappa4,
         mc_reps=args.mc_reps,
         degenerate_policy=args.degenerate,
@@ -268,7 +270,7 @@ def _cmd_analyze(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_indicator_csv(series, out / "indicator.csv")
     write_events_json(report, out / "events.json")
-    _write_run_json(out, "analyze", args, seed)
+    _write_run_json(out, "analyze", args)
     print(f"{len(series.t)} windows, {len(report.events)} events -> {out}")
     return 0
 
@@ -302,11 +304,9 @@ def _cmd_theory(args) -> int:
 
 
 def _cmd_pca(args) -> int:
-    seed = _resolve_seed(args)
     # event extraction settings; threshold_k is not used there, but the
     # config checks --k like analyze's
-    cfg = DetectorConfig(window=WindowSpec(T=2), functions=("MSR",), threshold_k=args.k,
-                         base_seed=seed)
+    cfg = DetectorConfig(window=WindowSpec(T=2), functions=("MSR",), threshold_k=args.k)
     src = load_csv(args.input, policy=args.missing)
     try:
         lo, hi = (int(x) for x in args.train.split(":"))
@@ -338,13 +338,12 @@ def _cmd_pca(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_indicator_csv(series, out / "indicator.csv")
     write_events_json(report, out / "events.json")
-    _write_run_json(out, "pca-baseline", args, seed)
+    _write_run_json(out, "pca-baseline", args)
     print(f"pilots {list(model.pilot_ids)}, {len(report.events)} events -> {out}")
     return 0
 
 
 def _cmd_mapframes(args) -> int:
-    seed = _resolve_seed(args)
     report_dir = Path(args.report)
     series = read_indicator_csv(report_dir / "indicator.csv")
     carrier = load_partition(args.layout)
@@ -361,7 +360,7 @@ def _cmd_mapframes(args) -> int:
         grid_size=args.grid,
         power=args.power,
     )
-    _write_run_json(out, "mapframes", args, seed)
+    _write_run_json(out, "mapframes", args)
     print(f"manifest -> {manifest}")
     return 0
 

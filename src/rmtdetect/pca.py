@@ -41,13 +41,10 @@ class PilotModel:
     condition_number: float         # of the pilot basis on the training range
 
 
-def _principal_projection(y: np.ndarray, c: np.ndarray, m: int) -> np.ndarray:
-    """Project each column of y (time x nodes) onto the top-m PC subspace of
-    its Gram matrix c = y^T y."""
-    w, p = np.linalg.eigh(c)
-    order = np.argsort(w)[::-1]
-    scores = y @ p[:, order[:m]]
-    q, _ = np.linalg.qr(scores)
+def _principal_projection(y: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Project each column of y (time x nodes) onto the span of the principal
+    component scores y @ basis, basis holding eigenvectors of y^T y."""
+    q, _ = np.linalg.qr(y @ basis)
     return q @ (q.T @ y)
 
 
@@ -111,7 +108,8 @@ def train(
             f"pca: the Gram matrix of the training range (--train) [{lo}, {hi}) overflows "
             "float64; rescale the data"
         )
-    w = np.linalg.eigvalsh(c)[::-1]
+    w, p = np.linalg.eigh(c)
+    w, p = w[::-1], p[:, ::-1]  # eigh returns them ascending
     if not w.sum() > 0:
         raise ParameterError(
             f"pca: the training range (--train) [{lo}, {hi}) has no variance: every sample is 0 "
@@ -131,7 +129,7 @@ def train(
             f"pca: need m' <= m <= N, got m'={m_prime} (--m-prime), m={m} (--m), N={n_nodes}"
         )
 
-    proj = _principal_projection(y, c, m)
+    proj = _principal_projection(y, p[:, :m])
     pilots = _greedy_pilots(proj, m_prime)
     nonpilots = [k for k in range(n_nodes) if k not in pilots]
 
@@ -151,6 +149,14 @@ def train(
     coef = np.linalg.solve(gram, yb.T @ y[:, nonpilots])
     resid = y[:, nonpilots] - yb @ coef
     rms = np.sqrt((resid**2).mean(axis=0))
+    faint = (rms**2 < np.finfo(float).tiny) & (resid != 0).any(axis=0)
+    if faint.any():
+        # a zero or subnormal band: every later nonzero residual would flag
+        nodes = [src.node_ids[nonpilots[j]] for j in np.flatnonzero(faint)]
+        raise ParameterError(
+            f"pca: the training residual RMS of nodes {nodes} on the training range (--train) "
+            f"[{lo}, {hi}) underflows float64 (its square is 0 or subnormal); rescale the data"
+        )
     return PilotModel(
         pilot_ids=tuple(src.node_ids[k] for k in pilots),
         nonpilot_ids=tuple(src.node_ids[k] for k in nonpilots),

@@ -99,16 +99,12 @@ def run(fn: Callable[[Any], None], items: Sequence) -> None:
     count): a child's update stays in the child.
     """
     parts = chunks(list(items))
-    if len(parts) == 1:
-        for x in parts[0]:
-            fn(x)
-        return
-    ctx = multiprocessing.get_context("fork")
     parent = os.getpid()
     workers = []
     done = False
     try:
-        for chunk in parts[1:]:
+        for chunk in parts[1:]:  # none at one worker, where fork may be missing
+            ctx = multiprocessing.get_context("fork")
             reader, writer = ctx.Pipe(duplex=False)
             proc = ctx.Process(target=_run_chunk, args=(fn, chunk, writer, parent))
             proc.start()

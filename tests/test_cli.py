@@ -675,6 +675,43 @@ def test_negative_seed_is_an_input_error(tmp_path, monkeypatch, capsys):
     assert code == 1 and "got -2" in err
 
 
+def test_commands_that_draw_nothing_ignore_the_seed_variable(small_run, tmp_path, capsys,
+                                                             monkeypatch):
+    # pca-baseline and mapframes read $RMT_EED_SEED and exited 1 on a bad one
+    root, data, _ = small_run
+    monkeypatch.setenv("RMT_EED_SEED", "abc")
+    pca, frames = tmp_path / "pca", tmp_path / "frames"
+    code, _, err = run_cli(capsys, "pca-baseline", "--input", str(data), "--train", "0:100",
+                           "--out", str(pca))
+    assert code == 0, err
+    code, _, err = run_cli(capsys, "mapframes", "--report", str(pca), "--layout",
+                           str(root / "partition.json"), "--out", str(frames))
+    assert code == 0, err
+    for out in (pca, frames):
+        assert "seed" not in json.loads((out / "run.json").read_text())["params"]
+
+
+@pytest.mark.parametrize("command", ["theory", "pca-baseline", "mapframes"])
+def test_only_commands_that_draw_take_a_seed(small_run, tmp_path, capsys, command):
+    root, data, _ = small_run
+    pca, out = tmp_path / "pca", tmp_path / "out"
+    assert run_cli(capsys, "pca-baseline", "--input", str(data), "--train", "0:100",
+                   "--out", str(pca))[0] == 0
+    argv = {
+        "theory": ["--N", "10", "--T", "20"],
+        "pca-baseline": ["--input", str(data), "--train", "0:100", "--out", str(out)],
+        "mapframes": ["--report", str(pca), "--layout", str(root / "partition.json"),
+                      "--out", str(out)],
+    }[command]
+    code, stdout, err = run_cli(capsys, command, *argv, "--seed", "1")
+    assert code == 1 and stdout == "" and "unrecognized arguments: --seed 1" in err
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"seed": 1}))
+    code, stdout, err = run_cli(capsys, command, "--config", str(cfg), *argv)
+    assert code == 1 and stdout == "" and "config key 'seed' matches no flag" in err
+    assert not out.exists()
+
+
 def test_bad_reference_argument(small_run, tmp_path, capsys):
     _, data, _ = small_run
     code, _, err = run_cli(
@@ -717,6 +754,12 @@ INPUT_EXITS = [
                               "--input", "tiny.csv"], None,
      "ParameterError", "pca: the pilots' Gram matrix on the training range (--train) [0, 30) "
      "underflows float64"),
+    # c's training residual RMS squared underflowed: eta was nan on every row
+    # and a zero band flagged every later nonzero residual, at exit 0
+    ("train-residual-rms-subnormal", ["pca-baseline", "--train", "0:40", "--m-prime", "2",
+                                      "--m", "2", "--input", "faint.csv"], None,
+     "ParameterError", "pca: the training residual RMS of nodes ['c'] on the training range "
+     "(--train) [0, 40) underflows float64"),
     # the window and Monte Carlo checks named no flag
     ("window-length-zero", ["analyze", "--T", "0"], None,
      "ParameterError", "window length (--T) must be >= 1, got 0"),
@@ -778,6 +821,9 @@ def test_input_exits_name_their_cause(small_run, tmp_path, capsys, monkeypatch,
               tmp_path / "huge.csv")
     write_csv(DataSource(huge.values * 1e-160, huge.node_ids, huge.timestamps),
               tmp_path / "tiny.csv")
+    ab = rng.standard_normal((2, 80)) * 1e-150
+    faint = np.vstack([ab, ab.sum(axis=0) + rng.standard_normal(80) * 1e-170])
+    write_csv(DataSource(faint, ("a", "b", "c"), tuple(range(80))), tmp_path / "faint.csv")
     (tmp_path / "regions.json").write_text('{"A": ["bus1"]}')
     (tmp_path / "cfg.json").write_text("{}")
     if env_seed is not None:

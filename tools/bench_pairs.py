@@ -18,7 +18,11 @@ through a small wrapper process that executes the checkout's own
 
 The output file holds every run's metrics and, per workload and metric,
 the median and quartiles of each side, the ratio of the medians, and how
-many pairs the change won.
+many pairs the change won. ``bench/run.py`` exits 0 even when a pass fails
+its output checks, so each workload's summary also counts, per side, the
+runs whose checks failed (``"correct": false``), names their seeds and the
+seeds that failed on both sides; the same is printed when the workload is
+done.
 """
 
 import argparse
@@ -93,6 +97,14 @@ def summarize(pairs) -> dict:
             "change_wins": wins,
             "pairs": len(pairs),
         }
+    out["incorrect"] = {
+        s: {"runs": sum(not p[s]["correct"] for p in pairs),
+            "seeds": [p["seed"] for p in pairs if not p[s]["correct"]]}
+        for s in ("parent", "change")
+    }
+    out["incorrect"]["both_sides"] = [
+        p["seed"] for p in pairs if not (p["parent"]["correct"] or p["change"]["correct"])
+    ]
     return out
 
 
@@ -121,7 +133,12 @@ def main() -> int:
             pairs.append(pair)
             seed += 1
         record.setdefault("env", pairs[0]["parent"]["env"])
-        record["workloads"][workload] = {"summary": summarize(pairs), "pairs": pairs}
+        summary = summarize(pairs)
+        record["workloads"][workload] = {"summary": summary, "pairs": pairs}
+        bad = summary["incorrect"]
+        print(f"{workload}: runs with failed checks, of {len(pairs)} per side: parent "
+              f"{bad['parent']['runs']} {bad['parent']['seeds']}, change {bad['change']['runs']} "
+              f"{bad['change']['seeds']}; incorrect on both sides: {bad['both_sides']}", flush=True)
         args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     return 0
 
