@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
 import shutil
 import tempfile
 import warnings
@@ -63,6 +64,8 @@ from .rmm import DEGENERATE_POLICIES
 # name up in this namespace.
 from .rmm import ring_product  # noqa: F401
 from .rng import window_seed
+
+_log = logging.getLogger(__name__)
 
 WHOLE_SYSTEM = "ALL"
 INDICATOR_COLUMNS = ("t", "region", "function", "tau", "eta", "flag")
@@ -253,8 +256,26 @@ def _series(
     for (block, sub), spectra in zip(blocks.items(), stacks):
         taus = stacked_taus(*spectra, fns)
         for f in fns:
+            if f.domain == "positive":
+                _log_clamps(block, f.name, spectra[1])
             data[(block, f.name)] = _track(cfg, block, f, sub.n, taus[f.name], calib)
     return IndicatorSeries(t=ends, data=data, meta=_meta(cfg, src))
+
+
+def _log_clamps(block: str, name: str, cov: np.ndarray) -> None:
+    """One WARNING record for a log-domain track where les floors an
+    eigenvalue of M at LOG_CLAMP in some window: those windows' taus follow
+    the rank of M, not the data."""
+    low = cov[:, 0]  # ascending spectra: each window's smallest eigenvalue of M
+    floored = int(np.count_nonzero(low < LOG_CLAMP))
+    if floored:
+        _log.warning(
+            "detect: block %r, function %s: M has an eigenvalue below the log floor %g in "
+            "%d of %d windows, <= 0 in %d (smallest %.3g); their taus follow the rank of M, "
+            "not the data",
+            block, name, LOG_CLAMP, floored, len(low), int(np.count_nonzero(low <= 0)),
+            low.min(),
+        )
 
 
 def _track(

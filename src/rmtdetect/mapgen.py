@@ -4,8 +4,9 @@ onto a planar grid by inverse-distance weighting.
 IDW with exponent p keeps every interpolated cell inside [min, max] of the
 node values, is exact at node locations, and falls off smoothly in
 between: the three properties the spatial views rely on. Frames of a run
-share one bounding box so an animation does not jitter, and one set of
-weights, computed once per run.
+share one bounding box so an animation does not jitter. The weights depend
+on node positions only; they are computed one grid row at a time, once per
+group of at most one frame per node, so no grid^2 x nodes array is held.
 """
 
 from __future__ import annotations
@@ -59,8 +60,12 @@ def render_run(
     A frame is a grid_size x grid_size lattice over the layout's bounding
     box. A cell within NODE_SNAP of a node takes that node's value exactly;
     every other cell is the mean of the node values weighted by
-    distance**-power. The weights depend on node positions only, so they
-    are computed once and each frame is one weighted sum.
+    distance**-power. Frames are filled in groups of at most one frame per
+    node, one grid row at a time: a row's grid x nodes weights serve every
+    frame of the group, and the group's frames are written before the next
+    group starts. So a group's grids take no more memory than one
+    grid^2 x nodes weights array would. A power whose weights overflow or
+    underflow float64 over the layout is a ParameterError.
 
     Returns the manifest path. The manifest is written last, so its
     presence marks a complete run.
@@ -97,42 +102,52 @@ def render_run(
             f"mapgen: IDW power (--power) must be finite and positive, got {power}"
         )
     pts = np.array([layout[nid] for nid in tracks], dtype=float)
-    xmin, xmax, ymin, ymax = bounds
-    cx, cy = np.meshgrid(
-        np.linspace(xmin, xmax, grid_size), np.linspace(ymin, ymax, grid_size), indexing="xy"
-    )
-    # At most two grid^2 x nodes float arrays live at once: the distances
-    # go into the x differences, and the weights replace the distances.
-    d = cx[..., None] - pts[:, 0]
-    np.hypot(d, cy[..., None] - pts[:, 1], out=d)
-    snapped = d < NODE_SNAP
-    on_node = snapped.any(axis=-1)
-    # exact-at-node rule beats the weight blow-up at zero distance
-    nearest = np.argmax(snapped, axis=-1)[on_node]
-    w_off = d[~on_node]
-    del d, snapped
-    w_off **= -power  # every off-node distance is >= NODE_SNAP
-    wsum = w_off.sum(axis=-1)
-    buf = np.empty_like(w_off)
     etas = np.array(list(tracks.values()), dtype=float)
+    xmin, xmax, ymin, ymax = bounds
+    # cell (i, j) sits at (x_j, y_i): dx[j] and dy[i] are its offsets to every node
+    dx = np.linspace(xmin, xmax, grid_size)[:, None] - pts[:, 0]
+    dy = np.linspace(ymin, ymax, grid_size)[:, None] - pts[:, 1]
+    buf = np.empty_like(dx)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     frame_bounds = [float(b) for b in bounds]
+    picks = range(0, len(series.t), frame_stride)
     names = []
-    for index in range(0, len(series.t), frame_stride):
-        t = int(series.t[index])
-        vals = etas[:, index]
-        grid = np.empty(on_node.shape)
-        grid[on_node] = vals[nearest]
-        grid[~on_node] = np.multiply(w_off, vals, out=buf).sum(axis=-1) / wsum
-        name = f"frame_{t:06d}.json"
-        (out_dir / name).write_text(
-            json.dumps(
-                {"t": t, "bounds": frame_bounds, "quantity": "eta", "grid": grid.tolist()}
-            ),
-            encoding="utf-8",
-        )
-        names.append(name)
+    for start in range(0, len(picks), len(pts)):
+        group = picks[start : start + len(pts)]
+        vals = etas[:, group].T
+        grids = np.empty((len(group), grid_size, grid_size))
+        for i in range(grid_size):
+            w = np.hypot(dx, dy[i])
+            snapped = w < NODE_SNAP
+            on_node = snapped.any(axis=-1)
+            # exact-at-node rule beats the weight blow-up at zero distance:
+            # a dummy weight here, the node's value below
+            w[on_node] = 1.0
+            with np.errstate(over="ignore"):
+                w **= -power
+                wsum = w.sum(axis=-1)
+            # weights are >= 0: a finite sum means every weight of its cell is finite
+            if not np.all((wsum > 0) & (wsum < np.inf)):
+                raise ParameterError(
+                    f"mapgen: IDW power (--power) {power} makes the inverse-distance weights "
+                    "overflow or underflow float64 over this layout; pick a smaller power"
+                )
+            for g, v in enumerate(vals):
+                np.multiply(w, v, out=buf).sum(axis=-1, out=grids[g, i])
+            grids[:, i] /= wsum
+            grids[:, i, on_node] = vals[:, np.argmax(snapped[on_node], axis=-1)]
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for index, grid in zip(group, grids):
+            t = int(series.t[index])
+            name = f"frame_{t:06d}.json"
+            (out_dir / name).write_text(
+                json.dumps(
+                    {"t": t, "bounds": frame_bounds, "quantity": "eta", "grid": grid.tolist()}
+                ),
+                encoding="utf-8",
+            )
+            names.append(name)
+    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = out_dir / "frames.json"
     manifest.write_text(
         json.dumps(

@@ -278,6 +278,42 @@ def test_log_domain_functions_need_fewer_nodes_than_samples():
             regional_series(wide, cfg)
 
 
+def _duplicated_row(n, t, seed):
+    src = sample_gaussian_matrix(n, t, seed=seed)
+    vals = src.values.copy()
+    vals[-1] = vals[-2]
+    return DataSource(vals, src.node_ids, src.timestamps)
+
+
+def _clamp_records(caplog, src, cfg):
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="rmtdetect.detect"):
+        sweep(src, cfg)
+    return [r.getMessage() for r in caplog.records if r.name == "rmtdetect.detect"]
+
+
+def test_clamped_log_domain_track_logs_one_warning(caplog):
+    # a duplicated row makes M singular in every window: les floors its zero
+    # eigenvalue, clamping it where it rounds to <= 0, and each track says so once
+    cfg = small_cfg(window=WindowSpec(T=20), functions=("T2", "DET", "LRF"))
+    before = les_module.clamp_event_count()
+    records = _clamp_records(caplog, _duplicated_row(6, 60, seed=4), cfg)
+    clamped = (les_module.clamp_event_count() - before) // 2  # one per window, DET and LRF
+    assert 0 < clamped <= 41
+    assert [m.split(":")[1] for m in records] == [" block 'ALL', function DET",
+                                                  " block 'ALL', function LRF"]
+    for message in records:
+        assert f"below the log floor 1e-12 in 41 of 41 windows, <= 0 in {clamped} " in message
+        assert float(message.split("(smallest ")[1].split(")")[0]) <= 0
+    assert not _clamp_records(caplog, sample_gaussian_matrix(6, 60, seed=4), cfg)
+    # one window whose zero eigenvalue rounds positive is floored all the same
+    before = les_module.clamp_event_count()
+    records = _clamp_records(caplog, _duplicated_row(6, 20, seed=4),
+                             small_cfg(window=WindowSpec(T=20), functions=("DET",)))
+    assert les_module.clamp_event_count() == before
+    assert len(records) == 1 and "in 1 of 1 windows, <= 0 in 0 (smallest " in records[0]
+
+
 def test_covariance_les_invariant_under_row_permutation():
     # MSR is invariant only in distribution: the Haar draw acts on the permuted rows
     src = step_source()

@@ -208,18 +208,69 @@ def test_render_run_frames_match_brute_force_idw(tmp_path):
         np.testing.assert_allclose(got["grid"], expected, rtol=1e-12, atol=0)
 
 
-def test_render_run_holds_at_most_two_weight_cubes(tmp_path):
-    # distances, weights and the per-frame product are each grid^2 x nodes
-    # floats; the distances are dropped once the weights are taken
+def test_render_run_peaks_below_one_weight_cube(tmp_path):
+    # the weights are computed one grid row at a time and the grids of a
+    # group of at most one frame per node are held: no grid^2 x nodes array
     rng = np.random.default_rng(3)
-    layout = {f"bus{i}": tuple(rng.uniform(0, 20, 2)) for i in range(118)}
-    series = _eta_series({nid: rng.uniform(0, 2, 3) for nid in layout}, [0, 1, 2])
-    cube = 64 * 64 * 118 * 8
+    layout = {f"bus{i}": tuple(rng.uniform(0, 20, 2)) for i in range(40)}
+    series = _eta_series({nid: rng.uniform(0, 2, 5) for nid in layout}, np.arange(5))
+    cube = 128 * 128 * 40 * 8
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
-        render_run(series, layout, tmp_path / "f", grid_size=64)
+        render_run(series, layout, tmp_path / "f", grid_size=128)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * cube
+    assert peak < cube
+
+
+def _dense_idw(layout, etas, grid_size, power):
+    """Every frame at once, as one grid^2 x nodes weights array: the snap
+    mask, the off-node weights d**-power and their sums, then one weighted
+    sum per frame, each a sum along the nodes axis."""
+    pts = np.array(list(layout.values()), dtype=float)
+    xs, ys = pts[:, 0], pts[:, 1]
+    cx, cy = np.meshgrid(np.linspace(xs.min(), xs.max(), grid_size),
+                         np.linspace(ys.min(), ys.max(), grid_size), indexing="xy")
+    d = np.hypot(cx[..., None] - xs, cy[..., None] - ys)
+    snapped = d < 1e-9
+    on_node = snapped.any(axis=-1)
+    nearest = np.argmax(snapped, axis=-1)[on_node]
+    w_off = d[~on_node] ** -power
+    wsum = w_off.sum(axis=-1)
+    grids = []
+    for vals in etas.T:
+        grid = np.empty(on_node.shape)
+        grid[on_node] = vals[nearest]
+        grid[~on_node] = (w_off * vals).sum(axis=-1) / wsum
+        grids.append(grid)
+    return grids
+
+
+def test_render_run_groups_match_a_dense_reference_bit_for_bit(tmp_path):
+    # 29 frames over 12 nodes: three groups, the last one short; more than 8
+    # nodes, so each cell's sum takes numpy's unrolled pairwise path; three
+    # nodes sit on grid cells (two corners and the centre) and snap
+    rng = np.random.default_rng(8)
+    layout = {"a": (0.0, 0.0), "b": (10.0, 10.0), "c": (5.0, 5.0)}
+    layout.update({f"n{i}": tuple(rng.uniform(0, 10, 2)) for i in range(9)})
+    etas = rng.uniform(0, 2, (12, 29))
+    series = _eta_series(dict(zip(layout, etas)), np.arange(300, 329))
+    manifest = render_run(series, layout, tmp_path / "f", grid_size=9, power=2.5)
+    names = json.loads(manifest.read_text())["frames"]
+    expected = _dense_idw(layout, etas, 9, 2.5)
+    assert len(names) == len(expected) == 29
+    for name, grid in zip(names, expected):
+        assert json.loads((tmp_path / "f" / name).read_text())["grid"] == grid.tolist()
+    assert [expected[0][0, 0], expected[0][-1, -1], expected[0][4, 4]] == list(etas[:3, 0])
+
+
+@pytest.mark.parametrize("power, width", [(400.0, 0.004), (200.0, 4000.0)])
+def test_power_whose_weights_leave_float64_is_named(tmp_path, power, width):
+    # d**-400 at d ~ 1e-3 overflows; d**-200 at d ~ 1e3 underflows to 0
+    layout = {"a": (0.0, 0.0), "b": (width, 0.0), "c": (0.0, width), "d": (width, width)}
+    series = _eta_series({nid: [1.0, 2.0] for nid in layout}, [0, 1])
+    with pytest.raises(ParameterError, match=r"--power"):
+        render_run(series, layout, tmp_path / "f", grid_size=8, power=power)
+    assert not (tmp_path / "f").exists()

@@ -10,6 +10,9 @@ fresh directory per setting, one subprocess per command:
   --functions MSR,T2,T3,T4,DET,LRF``;
 * ``pca-baseline --train 0:500``;
 * ``mapframes --function MSR --grid 32 --stride 10`` of the analyze report;
+* ``mapframes --function PCA --grid 16 --stride 3`` of the pca-baseline
+  report: 500 frames over 115 nodes, more frames than nodes, so the
+  renderer's frame groups (at most one frame per node) meet at a boundary;
 * ``theory --N 118 --T 240``, whose stdout is kept as ``theory.txt``.
 
 The settings are BLAS pinned to one thread (two workers on two CPUs), the
@@ -47,6 +50,8 @@ COMMANDS = [
     ["pca-baseline", "--input", "data/table3.csv", "--train", "0:500", "--out", "pca"],
     ["mapframes", "--report", "analyze", "--layout", "data/partition.json",
      "--function", "MSR", "--grid", "32", "--stride", "10", "--out", "frames"],
+    ["mapframes", "--report", "pca", "--layout", "data/partition.json",
+     "--function", "PCA", "--grid", "16", "--stride", "3", "--out", "frames-pca"],
     ["theory", "--N", "118", "--T", "240"],
 ]
 
