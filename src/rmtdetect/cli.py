@@ -216,8 +216,8 @@ def _cmd_simulate(args) -> int:
         raise ConfigurationError("cli: simulate needs exactly one of --preset / --scenario")
     out = Path(args.out)
     if args.preset:
+        partition = table3_partition(n=args.n)  # first: it names --n
         sc = table3_scenario(n=args.n, t=args.t, noise_std=args.noise_std)
-        partition = table3_partition(n=args.n)
     else:
         sc = load_scenario(args.scenario)
         partition = None
@@ -314,6 +314,7 @@ def _cmd_pca(args) -> int:
         raise ConfigurationError(f"cli: bad training range {args.train!r}; expected START:END") from None
     model = train(src, (lo, hi), m_prime=args.m_prime, m=args.m)
     ts, resid = residual_series(model, src)
+    del src  # judging and writing need the residuals only
     # the sweep's rule with E = 0 and D = the training RMS^2; |residual| >= 0
     training = (ts >= lo) & (ts < hi)
     data = {}

@@ -209,19 +209,22 @@ def _too_wide(n: int, cfg: DetectorConfig) -> Optional[str]:
     return None
 
 
-def _check_blocks(blocks: Dict[str, DataSource], cfg: DetectorConfig) -> None:
+def _check_blocks(blocks: Dict[str, Tuple[str, ...]], cfg: DetectorConfig) -> None:
     """Reject every block _too_wide for the window, before any window runs."""
-    for block, sub in blocks.items():
-        if why := _too_wide(sub.n, cfg):
+    for block, ids in blocks.items():
+        if why := _too_wide(len(ids), cfg):
             raise AspectRatioError(f"detect: block {block!r} has {why}")
 
 
 def _series(
-    src: DataSource, blocks: Dict[str, DataSource], cfg: DetectorConfig
+    src: DataSource, blocks: Dict[str, Tuple[str, ...]], cfg: DetectorConfig
 ) -> IndicatorSeries:
-    """One track per (block, function), every block swept over the window
-    ends of `src`.
+    """One track per (block, function), every block, named by its node ids,
+    swept over the window ends of `src`.
 
+    A block of every node in source order takes each window as a slice of
+    `src`; any other block takes its window's rows from `src` one window at
+    a time, so no copy of a block's rows lives through the sweep.
     Windows share no state and each draws from its own (base_seed, end)
     seed, so map_spectra may split them over worker processes without
     changing a bit. One map_spectra call covers every block, end-major, so
@@ -242,23 +245,24 @@ def _series(
         lo, hi = cfg.calibration_range
         calib = (ends >= lo) & (ends <= hi)
     fns = [get_function(name) for name in cfg.functions]
-    subs = list(blocks.values())
+    block_ids = list(blocks.values())
+    rows = [slice(None) if ids == src.node_ids else np.array([src.row_index(nid) for nid in ids])
+            for ids in block_ids]
 
     def spectra_at(end: int, b: int):
-        sub = subs[b]
         return window_spectra(
-            sub.values[:, end - T + 1 : end + 1], L, fns, window_seed(cfg.base_seed, end),
-            sub.node_ids, cfg.degenerate_policy,
+            src.values[rows[b], end - T + 1 : end + 1], L, fns, window_seed(cfg.base_seed, end),
+            block_ids[b], cfg.degenerate_policy,
         )
 
-    stacks = map_spectra(spectra_at, ends.tolist(), [sub.n for sub in subs], fns)
+    stacks = map_spectra(spectra_at, ends.tolist(), [len(ids) for ids in block_ids], fns)
     data = {}
-    for (block, sub), spectra in zip(blocks.items(), stacks):
+    for (block, ids), spectra in zip(blocks.items(), stacks):
         taus = stacked_taus(*spectra, fns)
         for f in fns:
             if f.domain == "positive":
                 _log_clamps(block, f.name, spectra[1])
-            data[(block, f.name)] = _track(cfg, block, f, sub.n, taus[f.name], calib)
+            data[(block, f.name)] = _track(cfg, block, f, len(ids), taus[f.name], calib)
     return IndicatorSeries(t=ends, data=data, meta=_meta(cfg, src))
 
 
@@ -320,7 +324,7 @@ def _track(
 
 def sweep(src: DataSource, cfg: DetectorConfig) -> IndicatorSeries:
     """Whole-system sweep: one track per configured function, region "ALL"."""
-    return _series(src, {WHOLE_SYSTEM: src}, cfg)
+    return _series(src, {WHOLE_SYSTEM: src.node_ids}, cfg)
 
 
 def regional_series(src: DataSource, cfg: DetectorConfig) -> IndicatorSeries:
@@ -334,7 +338,7 @@ def regional_series(src: DataSource, cfg: DetectorConfig) -> IndicatorSeries:
     if cfg.regions is None:
         raise ConfigurationError("detect: regional series needs a region partition")
     why = _too_wide(src.n, cfg)
-    blocks = {} if why else {WHOLE_SYSTEM: src}
+    blocks = {} if why else {WHOLE_SYSTEM: src.node_ids}
     if why:  # analyze per region only (blockwise mode)
         warnings.warn(f'detect: whole system has {why}; skipping the "ALL" series',
                       RuntimeWarning, stacklevel=2)
@@ -349,7 +353,7 @@ def regional_series(src: DataSource, cfg: DetectorConfig) -> IndicatorSeries:
                 stacklevel=2,
             )
             continue
-        blocks[region] = src.restrict(avail)
+        blocks[region] = avail
     return _series(src, blocks, cfg)
 
 

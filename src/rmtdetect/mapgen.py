@@ -65,7 +65,9 @@ def render_run(
     frame of the group, and the group's frames are written before the next
     group starts. So a group's grids take no more memory than one
     grid^2 x nodes weights array would. A power whose weights overflow or
-    underflow float64 over the layout is a ParameterError.
+    underflow float64 over the layout is a ParameterError, and so is one
+    that leaves a non-finite cell in a frame whose node values are all
+    finite; it is raised before the failing frame's group is written.
 
     Returns the manifest path. The manifest is written last, so its
     presence marks a complete run.
@@ -115,6 +117,7 @@ def render_run(
     for start in range(0, len(picks), len(pts)):
         group = picks[start : start + len(pts)]
         vals = etas[:, group].T
+        finite = np.isfinite(vals).all(axis=-1)  # frames whose cells must come out finite
         grids = np.empty((len(group), grid_size, grid_size))
         for i in range(grid_size):
             w = np.hypot(dx, dy[i])
@@ -132,10 +135,18 @@ def render_run(
                     f"mapgen: IDW power (--power) {power} makes the inverse-distance weights "
                     "overflow or underflow float64 over this layout; pick a smaller power"
                 )
-            for g, v in enumerate(vals):
-                np.multiply(w, v, out=buf).sum(axis=-1, out=grids[g, i])
-            grids[:, i] /= wsum
+            with np.errstate(over="ignore", invalid="ignore"):
+                for g, v in enumerate(vals):
+                    np.multiply(w, v, out=buf).sum(axis=-1, out=grids[g, i])
+                grids[:, i] /= wsum
             grids[:, i, on_node] = vals[:, np.argmax(snapped[on_node], axis=-1)]
+            bad = finite & ~np.isfinite(grids[:, i]).all(axis=-1)
+            if bad.any():
+                t = int(series.t[group[int(np.argmax(bad))]])
+                raise ParameterError(
+                    f"mapgen: IDW power (--power) {power} makes the weighted node values of "
+                    f"the frame at t={t} overflow float64 over this layout; pick a smaller power"
+                )
         out_dir.mkdir(parents=True, exist_ok=True)
         for index, grid in zip(group, grids):
             t = int(series.t[index])

@@ -176,13 +176,14 @@ def residual_series(
     """Per-sample |residual| for each non-pilot node (nodes x samples).
 
     This is the per-timestamp analogue of the detector's indicator series.
+    Each node's residual overwrites its row of the fitted values, so the
+    result is the only nodes x samples array made.
     """
     lo, hi = sample_range if sample_range is not None else (0, src.t)
     if not 0 <= lo < hi <= src.t:
         raise ParameterError(f"pca: residual range [{lo}, {hi}) outside 0..{src.t}")
     rows_b = [src.row_index(nid) for nid in model.pilot_ids]
-    rows_c = [src.row_index(nid) for nid in model.nonpilot_ids]
-    yb = src.values[rows_b, lo:hi]
-    yc = src.values[rows_c, lo:hi]  # a list index copies, so yc can take the residuals
-    np.subtract(yc, model.coefficients.T @ yb, out=yc)
-    return np.arange(lo, hi), np.abs(yc, out=yc)
+    out = model.coefficients.T @ src.values[rows_b, lo:hi]
+    for j, nid in enumerate(model.nonpilot_ids):
+        np.subtract(src.values[src.row_index(nid), lo:hi], out[j], out=out[j])
+    return np.arange(lo, hi), np.abs(out, out=out)

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     AspectRatioError,
     DegenerateRowError,
+    NumericalFailureError,
     ParameterError,
     ShapeError,
 )
@@ -201,12 +202,21 @@ def singular_value_equivalent(
 
 
 def _rescaled_product(factors) -> np.ndarray:
-    """Row-rescaled product of the factors, taken in order."""
-    z = None
-    for xu in factors:
-        z = xu if z is None else z @ xu
-    mu = z.mean(axis=1, keepdims=True)
-    sd = np.sqrt((np.abs(z - mu) ** 2).mean(axis=1, keepdims=True))
+    """Row-rescaled product of the factors, taken in order. A product or a
+    row spread that leaves float64 raises NumericalFailureError, naming the
+    depth: each factor scales the rows by about sqrt(T)."""
+    z, depth = None, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for xu in factors:
+            z = xu if z is None else z @ xu
+            depth += 1
+        mu = z.mean(axis=1, keepdims=True)
+        sd = np.sqrt((np.abs(z - mu) ** 2).mean(axis=1, keepdims=True))
+    if not np.isfinite(sd).all():  # an inf or NaN entry of z makes its row's sd one too
+        raise NumericalFailureError(
+            f"rmm: the ring product of depth {depth} (--L) or its row spread overflows "
+            "float64; pick a smaller ring product depth (--L)"
+        )
     if (sd == 0).any():
         raise DegenerateRowError("rmm: ring product produced a constant row")
     return z / (np.sqrt(z.shape[0]) * sd)

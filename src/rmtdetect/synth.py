@@ -225,8 +225,13 @@ def table3_partition(n: int = 118) -> RegionPartition:
     """Six contiguous regions with an invented planar layout (illustrative
     only): region clusters sit on a 3 x 2 grid of centers, nodes jittered
     around their center. The event node falls in region A3."""
-    ids = [f"bus{i + 1}" for i in range(n)]
     k = 6
+    if n < k:  # a region without a node
+        raise ParameterError(
+            f"synth: the table3 preset has {k} regions, so it needs at least {k} nodes (--n); "
+            f"got {n}"
+        )
+    ids = [f"bus{i + 1}" for i in range(n)]
     bounds = np.linspace(0, n, k + 1).astype(int)
     regions = {
         f"A{j + 1}": tuple(ids[bounds[j] : bounds[j + 1]]) for j in range(k)

@@ -3,6 +3,7 @@ import io
 import json
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,23 @@ def test_overflowing_fluctuation_variance_is_named_as_such(capsys):
         "error [NumericalFailureError]: les: the fluctuation variance of T3 overflows float64 "
         "at c=0.025, kappa4=1e+300"
     ) in err
+
+
+@pytest.mark.parametrize("depth", [300, 1000])
+def test_ring_product_too_deep_for_float64_is_named(tmp_path, capsys, depth):
+    # each factor scales the rows by about sqrt(T): at L=300 the row spread's
+    # squares overflowed and every tau was written as 0.0 at exit 0; at
+    # L=1000 the product overflowed and the eigensolver took the blame
+    data = tmp_path / "g.csv"
+    write_csv(sample_gaussian_matrix(6, 60, seed=1), data)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "analyze", "--input", str(data), "--T", "20",
+                                 "--L", str(depth), "--out", str(tmp_path / "r"))
+    assert code == 2 and out == "" and caught == []
+    assert err == (f"error [NumericalFailureError]: rmm: the ring product of depth {depth} "
+                   "(--L) or its row spread overflows float64; pick a smaller ring product "
+                   "depth (--L)\n")
 
 
 @pytest.mark.parametrize(
@@ -793,6 +811,10 @@ INPUT_EXITS = [
      "ConfigurationError", "holds functions ['MSR', 'T2']; pick one to render with --function"),
     ("config-without-subcommand", ["--config", "cfg.json"], None,
      "ConfigurationError", "--config requires a subcommand"),
+    # a region of the preset was left empty and named no flag
+    ("preset-fewer-nodes-than-regions", ["simulate", "--preset", "table3", "--n", "5",
+                                         "--out", "out/table3.csv"], None,
+     "ParameterError", "table3 preset has 6 regions, so it needs at least 6 nodes (--n); got 5"),
 ]
 
 

@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from rmtdetect import (
     regional_series,
     sample_gaussian_matrix,
     sweep,
+    table3_partition,
+    table3_scenario,
 )
 import rmtdetect.detect as detect_module
 import rmtdetect.les as les_module
@@ -476,6 +480,46 @@ def test_regional_series_checks_every_block_once(monkeypatch):
     assert sorted(series.data) == [("ALL", "MSR"), ("P", "MSR"), ("Q", "MSR")]
     np.testing.assert_array_equal(series.data[("ALL", "MSR")].tau,
                                   sweep(src, cfg).data[("ALL", "MSR")].tau)
+
+
+def test_interleaved_regions_match_a_sweep_of_each_region_alone(at_workers):
+    # every fifth node of a shuffled order: no region is a block of adjacent
+    # rows or in source order, and each window takes its rows from the source
+    src = step_source(n=30, t=240, t_star=120, node=7)
+    order = np.random.default_rng(11).permutation(src.node_ids).tolist()
+    part = RegionPartition({f"R{k}": tuple(order[k::5]) for k in range(5)})
+    cfg = small_cfg(window=WindowSpec(T=40, stride=3), functions=("MSR", "T2", "LRF"),
+                    regions=part, mc_reps=20)
+    for n in (1, 2):
+        series = at_workers(n, regional_series, src, cfg)
+        events = extract_events(series, cfg).events
+        assert any(e.region != "ALL" for e in events)
+        for region, ids in part.regions.items():
+            alone = sweep(src.restrict(ids), cfg)
+            for f in cfg.functions:
+                got, want = series.data[(region, f)], alone.data[("ALL", f)]
+                assert got.tau.tobytes() == want.tau.tobytes()
+                assert got.eta.tobytes() == want.eta.tobytes()
+                assert np.array_equal(got.flag, want.flag)
+            assert [e for e in events if e.region == region] == [
+                dataclasses.replace(e, region=region) for e in extract_events(alone, cfg).events
+            ]
+
+
+def test_regional_series_holds_no_copy_of_the_regions():
+    # each window slices its rows from the source; the rest of the rise is
+    # one ring window's working set and the spectra stacks
+    src = generate(table3_scenario(), seed=5)
+    cfg = DetectorConfig(window=WindowSpec(T=240, stride=19), functions=("MSR", "LRF"),
+                         regions=table3_partition(), base_seed=5, mc_reps=4)
+    regional_series(src, cfg)  # fills the calibration cache
+    tracemalloc.start()
+    try:
+        regional_series(src, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * src.values.nbytes, peak / src.values.nbytes
 
 
 def test_regional_series_requires_partition():

@@ -2,6 +2,7 @@ import json
 import math
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -273,4 +274,18 @@ def test_power_whose_weights_leave_float64_is_named(tmp_path, power, width):
     series = _eta_series({nid: [1.0, 2.0] for nid in layout}, [0, 1])
     with pytest.raises(ParameterError, match=r"--power"):
         render_run(series, layout, tmp_path / "f", grid_size=8, power=power)
+    assert not (tmp_path / "f").exists()
+
+
+def test_power_whose_weighted_values_overflow_is_named(tmp_path):
+    # the weights and their sums stay finite at d**-95 over a square 0.004
+    # wide, but weight x eta overflowed: Infinity cells and a bare warning
+    layout = {"a": (0.0, 0.0), "b": (0.004, 0.0), "c": (0.0, 0.004), "d": (0.004, 0.004)}
+    # frame t=7 holds a NaN node value, so its NaN cells are no fault of the power
+    series = _eta_series({nid: [math.nan if nid == "a" else v, v]
+                          for nid, v in zip(layout, (1.0, 2.0, 3.0, 4.0))}, [7, 8])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=r"--power\) 95.0 .* frame at t=8 overflow"):
+            render_run(series, layout, tmp_path / "f", grid_size=8, power=95.0)
     assert not (tmp_path / "f").exists()

@@ -1,7 +1,12 @@
+import contextlib
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from rmtdetect import DataSource, residual_series, train
+from rmtdetect import DataSource, generate, residual_series, table3_scenario, train, write_csv
+from rmtdetect.cli import main
 from rmtdetect.errors import ParameterError
 
 
@@ -167,3 +172,20 @@ def test_residual_series_matches_the_plain_expression_bit_for_bit():
     yc = src.values[[src.row_index(nid) for nid in model.nonpilot_ids], 100:550]
     assert np.array_equal(samples, np.arange(100, 550))
     assert resid.tobytes() == np.abs(yc - model.coefficients.T @ yb).tobytes()
+
+
+def test_pca_baseline_holds_no_third_source_sized_array(tmp_path):
+    # the residuals overwrite the fitted values, and the source goes once
+    # they exist; load_csv's row list and stacked array stay the peak's floor
+    src = generate(table3_scenario(), seed=5)
+    write_csv(src, tmp_path / "table3.csv")
+    argv = ["pca-baseline", "--input", str(tmp_path / "table3.csv"), "--train", "100:580"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, "--out", str(tmp_path / "warm")]) == 0  # imports, caches
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--out", str(tmp_path / "pca")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2.75 * src.values.nbytes, peak / src.values.nbytes

@@ -54,3 +54,18 @@ def test_report_names_the_first_differing_line_and_the_stray_file(tmp_path):
         "    only in the change",
         f"unpinned     {'run.json':<40} {_md5(RUN)} {_md5(RUN)} same",
     ]
+
+
+def test_interleaved_partition_splits_the_preset_out_of_row_order():
+    regions = same_bytes.interleaved_partition()
+    nodes = sorted(nid for ids in regions.values() for nid in ids)
+    assert nodes == sorted(f"bus{i + 1}" for i in range(118))
+    for ids in regions.values():
+        rows = [int(nid[3:]) for nid in ids]
+        assert rows != sorted(rows) and max(rows) - min(rows) + 1 > len(rows)
+
+
+def test_an_analyze_run_sweeps_the_interleaved_partition():
+    partitions = [argv[argv.index("--partition") + 1] for argv in same_bytes.COMMANDS
+                  if argv[0] == "analyze"]
+    assert partitions.count(same_bytes.INTERLEAVED) == 1

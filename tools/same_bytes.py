@@ -8,6 +8,10 @@ fresh directory per setting, one subprocess per command:
 * ``simulate --preset table3 --seed 7``;
 * ``analyze`` of that stream with its partition, ``--T 240 --stride 19
   --functions MSR,T2,T3,T4,DET,LRF``;
+* the same ``analyze`` over ``data/interleaved.json``, a partition this
+  tool writes (``interleaved_partition``): five regions, each every fifth
+  node of a shuffled order, so no region is a block of adjacent rows or
+  in source order;
 * ``pca-baseline --train 0:500``;
 * ``mapframes --function MSR --grid 32 --stride 10`` of the analyze report;
 * ``mapframes --function PCA --grid 16 --stride 3`` of the pca-baseline
@@ -35,6 +39,7 @@ import itertools
 import json
 import math
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -43,10 +48,15 @@ import tempfile
 from pathlib import Path
 from typing import Dict, List, Tuple
 
+INTERLEAVED = "data/interleaved.json"
+
 COMMANDS = [
     ["simulate", "--preset", "table3", "--seed", "7", "--out", "data/table3.csv"],
     ["analyze", "--input", "data/table3.csv", "--partition", "data/partition.json",
      "--T", "240", "--stride", "19", "--functions", "MSR,T2,T3,T4,DET,LRF", "--out", "analyze"],
+    ["analyze", "--input", "data/table3.csv", "--partition", INTERLEAVED,
+     "--T", "240", "--stride", "19", "--functions", "MSR,T2,T3,T4,DET,LRF",
+     "--out", "analyze-interleaved"],
     ["pca-baseline", "--input", "data/table3.csv", "--train", "0:500", "--out", "pca"],
     ["mapframes", "--report", "analyze", "--layout", "data/partition.json",
      "--function", "MSR", "--grid", "32", "--stride", "10", "--out", "frames"],
@@ -54,6 +64,15 @@ COMMANDS = [
      "--function", "PCA", "--grid", "16", "--stride", "3", "--out", "frames-pca"],
     ["theory", "--N", "118", "--T", "240"],
 ]
+
+
+def interleaved_partition(n: int = 118, regions: int = 5) -> Dict[str, List[str]]:
+    """Regions of the preset's nodes bus1..bus<n>: region k holds every
+    regions-th node of one fixed shuffled order, starting at the k-th."""
+    order = [f"bus{i + 1}" for i in range(n)]
+    random.Random(7).shuffle(order)
+    return {f"I{k + 1}": order[k::regions] for k in range(regions)}
+
 
 # setting: (OPENBLAS_NUM_THREADS, command prefix)
 SETTINGS = {
@@ -139,6 +158,9 @@ def run_setting(checkout: Path, run_dir: Path, setting: str) -> List[str]:
     tmp = run_dir.with_name(run_dir.name + ".tmp")
     run_dir.mkdir(parents=True)
     tmp.mkdir()
+    (run_dir / INTERLEAVED).parent.mkdir()
+    (run_dir / INTERLEAVED).write_text(json.dumps(interleaved_partition(), indent=2),
+                                       encoding="utf-8")
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     env.update(PYTHONPATH=str(checkout.resolve() / "src"), TMPDIR=str(tmp))
