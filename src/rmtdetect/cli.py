@@ -11,6 +11,7 @@ numerical failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -195,14 +196,36 @@ def _resolve_seed(args) -> None:
     args.seed = seed
 
 
+@contextlib.contextmanager
+def _output(out: Path):
+    """An OSError of making or writing the output path --out becomes a
+    ConfigurationError naming both. Only file operations go inside: a
+    failed fork is an OSError too."""
+    try:
+        yield
+    except OSError as e:
+        raise ConfigurationError(
+            f"cli: cannot write the output path (--out) {e.filename or out}: {e.strerror}"
+        ) from None
+
+
 def _write_run_json(directory: Path, command: str, args) -> None:
     params = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
-    directory.mkdir(parents=True, exist_ok=True)
     (directory / "run.json").write_text(
         json.dumps({"command": command, "version": __version__, "params": params},
                    indent=2, sort_keys=True),
         encoding="utf-8",
     )
+
+
+def _write_report(out: Path, series: IndicatorSeries, report, command: str, args) -> None:
+    """indicator.csv, events.json and run.json in the directory out."""
+    with _output(out):
+        out.mkdir(parents=True, exist_ok=True)
+    write_indicator_csv(series, out / "indicator.csv")  # forks, so outside _output
+    with _output(out):
+        write_events_json(report, out / "events.json")
+        _write_run_json(out, command, args)
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +245,15 @@ def _cmd_simulate(args) -> int:
         sc = load_scenario(args.scenario)
         partition = None
     src = generate(sc, args.seed)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_csv(src, out)
-    if partition is not None:
-        payload = {name: list(nodes) for name, nodes in partition.regions.items()}
-        payload["layout"] = {nid: list(xy) for nid, xy in partition.layout.items()}
-        (out.parent / "partition.json").write_text(json.dumps(payload, indent=2), encoding="utf-8")
-    _write_run_json(out.parent, "simulate", args)
+    with _output(out):
+        out.parent.mkdir(parents=True, exist_ok=True)
+        write_csv(src, out)
+        if partition is not None:
+            payload = {name: list(nodes) for name, nodes in partition.regions.items()}
+            payload["layout"] = {nid: list(xy) for nid, xy in partition.layout.items()}
+            (out.parent / "partition.json").write_text(json.dumps(payload, indent=2),
+                                                       encoding="utf-8")
+        _write_run_json(out.parent, "simulate", args)
     print(f"wrote {src.n}x{src.t} source to {out}")
     return 0
 
@@ -267,10 +292,7 @@ def _cmd_analyze(args) -> int:
     series = regional_series(src, cfg) if partition is not None else sweep(src, cfg)
     report = extract_events(series, cfg)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_indicator_csv(series, out / "indicator.csv")
-    write_events_json(report, out / "events.json")
-    _write_run_json(out, "analyze", args)
+    _write_report(out, series, report, "analyze", args)
     print(f"{len(series.t)} windows, {len(report.events)} events -> {out}")
     return 0
 
@@ -336,10 +358,7 @@ def _cmd_pca(args) -> int:
     )
     report = extract_events(series, cfg)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_indicator_csv(series, out / "indicator.csv")
-    write_events_json(report, out / "events.json")
-    _write_run_json(out, "pca-baseline", args)
+    _write_report(out, series, report, "pca-baseline", args)
     print(f"pilots {list(model.pilot_ids)}, {len(report.events)} events -> {out}")
     return 0
 
@@ -351,17 +370,18 @@ def _cmd_mapframes(args) -> int:
     if carrier.layout is None:
         raise ConfigurationError(f"cli: {args.layout} carries no layout coordinates")
     out = Path(args.out)
-    manifest = render_run(
-        series,
-        carrier.layout,
-        out,
-        function=args.function,
-        partition=carrier if carrier.regions else None,
-        frame_stride=args.stride,
-        grid_size=args.grid,
-        power=args.power,
-    )
-    _write_run_json(out, "mapframes", args)
+    with _output(out):
+        manifest = render_run(
+            series,
+            carrier.layout,
+            out,
+            function=args.function,
+            partition=carrier if carrier.regions else None,
+            frame_stride=args.stride,
+            grid_size=args.grid,
+            power=args.power,
+        )
+        _write_run_json(out, "mapframes", args)
     print(f"manifest -> {manifest}")
     return 0
 

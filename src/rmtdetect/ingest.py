@@ -55,7 +55,8 @@ class DataSource:
         if len(self.timestamps) != t:
             raise ContractError(f"ingest: {len(self.timestamps)} timestamps for {t} columns")
         if len(set(self.node_ids)) != n:
-            raise ContractError("ingest: node ids must be unique")
+            dup = next(nid for i, nid in enumerate(self.node_ids) if nid in self.node_ids[:i])
+            raise ContractError(f"ingest: node ids must be unique; {dup!r} repeats")
         if not np.isfinite(self.values).all():
             raise ContractError("ingest: data source contains non-finite cells after load")
 
@@ -166,7 +167,7 @@ def load_csv(path, policy: str = "error") -> DataSource:
         timestamps = [int(float(x)) for x in header[1:]]
     except (ValueError, OverflowError):  # nan, inf and 1e400 have no int
         raise MalformedInputError(f"ingest: {path} header is not numeric timestamps") from None
-    node_ids = []
+    first_row = {}  # node id -> its file row, in file order
     rows = []
     for r, rec in enumerate(reader, start=2):
         if not rec:
@@ -174,6 +175,10 @@ def load_csv(path, policy: str = "error") -> DataSource:
         nid = rec[0].strip()
         if not nid:
             raise MalformedInputError(f"ingest: {path} row {r}: blank node id")
+        if nid in first_row:
+            raise MalformedInputError(
+                f"ingest: {path} rows {first_row[nid]} and {r}: node id {nid!r} repeats"
+            )
         if len(rec) - 1 != len(timestamps):
             raise MalformedInputError(
                 f"ingest: {path} row {r}: {len(rec) - 1} cells, expected {len(timestamps)}"
@@ -189,11 +194,11 @@ def load_csv(path, policy: str = "error") -> DataSource:
                 except MalformedInputError as e:
                     raise MalformedInputError(f"{e} (row {r}, column {j + 2})") from None
         vals = _apply_policy(vals, nid, policy, path, r)
-        node_ids.append(nid)
+        first_row[nid] = r
         rows.append(vals)
     if not rows:
         raise MalformedInputError(f"ingest: {path} has no data rows")
-    return DataSource(np.vstack(rows), tuple(node_ids), tuple(timestamps))
+    return DataSource(np.vstack(rows), tuple(first_row), tuple(timestamps))
 
 
 def _apply_policy(vals: np.ndarray, nid: str, policy: str, path, row: int) -> np.ndarray:

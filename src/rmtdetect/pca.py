@@ -3,8 +3,9 @@ regression of the remaining sensors on the pilots, residual-based judging.
 
 Training picks m' pilot channels whose projections onto the top-m principal
 subspace are as mutually orthogonal as possible (greedy max-min-angle,
-ties broken by node order), then fits each non-pilot channel on the raw
-pilot block by least squares through the normal equations. Judging
+ties broken by node order, the angles from the training Gram's
+eigendecomposition), then fits each non-pilot channel on the raw pilot
+block by least squares through the normal equations. Judging
 compares each non-pilot node's per-sample |residual| with k times its
 training residual RMS.
 
@@ -41,35 +42,21 @@ class PilotModel:
     condition_number: float         # of the pilot basis on the training range
 
 
-def _principal_projection(y: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Project each column of y (time x nodes) onto the span of the principal
-    component scores y @ basis, basis holding eigenvectors of y^T y."""
-    q, _ = np.linalg.qr(y @ basis)
-    return q @ (q.T @ y)
-
-
-def _greedy_pilots(proj: np.ndarray, m_prime: int) -> list:
-    """Pick column indices minimizing the maximum pairwise |cos| greedily."""
-    n = proj.shape[1]
-    norms = np.linalg.norm(proj, axis=0)
-    safe = np.where(norms > 0, norms, 1.0)
-    units = proj / safe
-    cos = np.abs(units.T @ units)
+def _greedy_pilots(gram: np.ndarray, m_prime: int) -> list:
+    """Pick node indices minimizing the maximum pairwise |cos| greedily, the
+    angles read from gram, the Gram matrix of the nodes' projections."""
     if m_prime == 1:
         return [0]  # ties broken by node order; a single pilot has no angles
-    masked = cos + 2.0 * np.eye(n)
-    i, j = np.unravel_index(np.argmin(masked), masked.shape)
-    chosen = sorted((int(i), int(j)))
+    norms = np.sqrt(np.maximum(np.diagonal(gram), 0.0))
+    safe = np.where(norms > 0, norms, 1.0)
+    cos = np.abs(gram / safe / safe[:, None])
+    np.fill_diagonal(cos, np.inf)  # a node is never its own partner
+    chosen = list(np.unravel_index(np.argmin(cos), cos.shape))
     while len(chosen) < m_prime:
-        best, best_val = None, np.inf
-        for k in range(n):
-            if k in chosen:
-                continue
-            val = max(float(cos[k, c_]) for c_ in chosen)
-            if val < best_val:  # strict: earlier node order wins ties
-                best, best_val = k, val
-        chosen.append(best)
-    return sorted(chosen)
+        # a chosen node's row holds its own inf; the first minimum keeps
+        # earlier node order winning ties
+        chosen.append(np.argmin(cos[:, chosen].max(axis=1)))
+    return sorted(int(k) for k in chosen)
 
 
 def train(
@@ -129,15 +116,18 @@ def train(
             f"pca: need m' <= m <= N, got m'={m_prime} (--m-prime), m={m} (--m), N={n_nodes}"
         )
 
-    proj = _principal_projection(y, p[:, :m])
-    pilots = _greedy_pilots(proj, m_prime)
+    # the projections onto the top-m principal scores have Gram P_m W_m P_m^T;
+    # a node whose samples are all 0 keeps norm and |cos| 0
+    p[np.diagonal(c) == 0] = 0.0
+    pilots = _greedy_pilots((p[:, :m] * w[:m]) @ p[:, :m].T, m_prime)
     nonpilots = [k for k in range(n_nodes) if k not in pilots]
 
     yb = y[:, pilots]
     cond = float(np.linalg.cond(yb))
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise ParameterError(
-            f"pca: pilot basis is ill-conditioned (condition number {cond:.3e})"
+            f"pca: pilot basis {[src.node_ids[k] for k in pilots]} is ill-conditioned "
+            f"(condition number {cond:.3e})"
         )
     gram = yb.T @ yb
     if not (np.diagonal(gram) >= np.finfo(float).tiny).all():
@@ -168,22 +158,16 @@ def train(
     )
 
 
-def residual_series(
-    model: PilotModel,
-    src: DataSource,
-    sample_range: Optional[Tuple[int, int]] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-sample |residual| for each non-pilot node (nodes x samples).
+def residual_series(model: PilotModel, src: DataSource) -> Tuple[np.ndarray, np.ndarray]:
+    """Sample indices and the per-sample |residual| of each non-pilot node
+    (nodes x samples) over the whole source.
 
     This is the per-timestamp analogue of the detector's indicator series.
     Each node's residual overwrites its row of the fitted values, so the
     result is the only nodes x samples array made.
     """
-    lo, hi = sample_range if sample_range is not None else (0, src.t)
-    if not 0 <= lo < hi <= src.t:
-        raise ParameterError(f"pca: residual range [{lo}, {hi}) outside 0..{src.t}")
     rows_b = [src.row_index(nid) for nid in model.pilot_ids]
-    out = model.coefficients.T @ src.values[rows_b, lo:hi]
+    out = model.coefficients.T @ src.values[rows_b]
     for j, nid in enumerate(model.nonpilot_ids):
-        np.subtract(src.values[src.row_index(nid), lo:hi], out[j], out=out[j])
-    return np.arange(lo, hi), np.abs(out, out=out)
+        np.subtract(src.values[src.row_index(nid)], out[j], out=out[j])
+    return np.arange(src.t), np.abs(out, out=out)

@@ -815,7 +815,33 @@ INPUT_EXITS = [
     ("preset-fewer-nodes-than-regions", ["simulate", "--preset", "table3", "--n", "5",
                                          "--out", "out/table3.csv"], None,
      "ParameterError", "table3 preset has 6 regions, so it needs at least 6 nodes (--n); got 5"),
+    # a repeated node id named no id, file or row
+    ("node-id-repeats", ["analyze", "--input", "repeat.csv"], None,
+     "MalformedInputError", "repeat.csv rows 3 and 5: node id 'b' repeats"),
+    # an output path that cannot be made or written ended in a traceback,
+    # analyze's only after the whole sweep
+    ("out-is-a-file-analyze", ["analyze", "--out", "cfg.json"], None,
+     "ConfigurationError", "cannot write the output path (--out) cfg.json: File exists"),
+    ("out-is-a-directory-simulate", ["simulate", "--preset", "table3", "--n", "6", "--t", "20",
+                                     "--out", "two"], None,
+     "ConfigurationError", "cannot write the output path (--out) two: Is a directory"),
+    ("out-under-a-file-pca", ["pca-baseline", "--train", "0:100", "--out", "cfg.json/x"], None,
+     "ConfigurationError", "cannot write the output path (--out) cfg.json/x: Not a directory"),
 ]
+
+
+def test_mapframes_out_that_is_a_file_is_named(small_run, tmp_path, capsys):
+    # render_run's mkdir raised FileExistsError through main
+    root, data, _ = small_run
+    pca, taken = tmp_path / "pca", tmp_path / "taken"
+    assert run_cli(capsys, "pca-baseline", "--input", str(data), "--train", "0:100",
+                   "--out", str(pca))[0] == 0
+    taken.write_text("")
+    code, stdout, err = run_cli(capsys, "mapframes", "--report", str(pca), "--layout",
+                                str(root / "partition.json"), "--out", str(taken))
+    assert (code, stdout) == (1, "")
+    assert err == (f"error [ConfigurationError]: cli: cannot write the output path (--out) "
+                   f"{taken}: File exists\n")
 
 
 @pytest.mark.parametrize("argv, env_seed, error, named", [c[1:] for c in INPUT_EXITS],
@@ -848,11 +874,12 @@ def test_input_exits_name_their_cause(small_run, tmp_path, capsys, monkeypatch,
     write_csv(DataSource(faint, ("a", "b", "c"), tuple(range(80))), tmp_path / "faint.csv")
     (tmp_path / "regions.json").write_text('{"A": ["bus1"]}')
     (tmp_path / "cfg.json").write_text("{}")
+    (tmp_path / "repeat.csv").write_text("node_id,0,1,2\na,1,2,3\nb,4,5,7\nc,7,8,8\nb,1,0,0\n")
     if env_seed is not None:
         monkeypatch.setenv("RMT_EED_SEED", env_seed)
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "out"
-    # the case's own flags come last, so they override these
+    # the case's own flags come last, so they override these, --out too
     defaults = {
         "analyze": ["--input", str(data), "--T", "60", "--functions", "MSR", "--mc-reps", "20"],
         "pca-baseline": ["--input", str(data)],
@@ -860,7 +887,7 @@ def test_input_exits_name_their_cause(small_run, tmp_path, capsys, monkeypatch,
     }
     command, *flags = argv
     if command in defaults:
-        flags = [*defaults[command], *flags, "--out", str(out)]
+        flags = [*defaults[command], "--out", str(out), *flags]
     code, stdout, err = run_cli(capsys, command, *flags)
     assert code == 1 and stdout == ""
     assert f"error [{error}]" in err and named in err

@@ -262,6 +262,8 @@ def test_csv_roundtrip(tmp_path, gaussian_source):
 def test_datasource_rejects_duplicates_and_tiny_shapes():
     with pytest.raises(ContractError, match="unique"):
         DataSource(np.ones((2, 3)), ("a", "a"), (0, 1, 2))
+    with pytest.raises(ContractError, match="node ids must be unique; 'b' repeats$"):
+        DataSource(np.ones((4, 3)), ("a", "b", "c", "b"), (0, 1, 2))
     with pytest.raises(ParameterError):
         DataSource(np.ones((1, 5)), ("a",), tuple(range(5)))
 

@@ -69,3 +69,9 @@ def test_an_analyze_run_sweeps_the_interleaved_partition():
     partitions = [argv[argv.index("--partition") + 1] for argv in same_bytes.COMMANDS
                   if argv[0] == "analyze"]
     assert partitions.count(same_bytes.INTERLEAVED) == 1
+
+
+def test_a_pca_baseline_run_picks_five_pilots():
+    # three greedy steps past the first pair, each picking by the max-min angle
+    runs = [argv for argv in same_bytes.COMMANDS if argv[0] == "pca-baseline"]
+    assert [argv[argv.index("--m-prime") + 1] for argv in runs if "--m-prime" in argv] == ["5"]

@@ -13,6 +13,8 @@ fresh directory per setting, one subprocess per command:
   node of a shuffled order, so no region is a block of adjacent rows or
   in source order;
 * ``pca-baseline --train 0:500``;
+* ``pca-baseline --train 100:580 --m-prime 5 --m 20``: five pilots, so
+  three greedy steps run past the first pair;
 * ``mapframes --function MSR --grid 32 --stride 10`` of the analyze report;
 * ``mapframes --function PCA --grid 16 --stride 3`` of the pca-baseline
   report: 500 frames over 115 nodes, more frames than nodes, so the
@@ -58,6 +60,8 @@ COMMANDS = [
      "--T", "240", "--stride", "19", "--functions", "MSR,T2,T3,T4,DET,LRF",
      "--out", "analyze-interleaved"],
     ["pca-baseline", "--input", "data/table3.csv", "--train", "0:500", "--out", "pca"],
+    ["pca-baseline", "--input", "data/table3.csv", "--train", "100:580", "--m-prime", "5",
+     "--m", "20", "--out", "pca-five"],
     ["mapframes", "--report", "analyze", "--layout", "data/partition.json",
      "--function", "MSR", "--grid", "32", "--stride", "10", "--out", "frames"],
     ["mapframes", "--report", "pca", "--layout", "data/partition.json",
