@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import os
+import stat
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -199,14 +201,30 @@ def _resolve_seed(args) -> None:
 @contextlib.contextmanager
 def _output(out: Path):
     """An OSError of making or writing the output path --out becomes a
-    ConfigurationError naming both. Only file operations go inside: a
-    failed fork is an OSError too."""
+    ConfigurationError naming both. A failed fork or pipe of a worker
+    (EAGAIN, ENOMEM, EMFILE, ENFILE) is the system's limit, not the path's:
+    it passes through."""
     try:
         yield
     except OSError as e:
+        if e.errno in (errno.EAGAIN, errno.ENOMEM, errno.EMFILE, errno.ENFILE):
+            raise
         raise ConfigurationError(
             f"cli: cannot write the output path (--out) {e.filename or out}: {e.strerror}"
         ) from None
+
+
+def _check_out(out: Path) -> None:
+    """Refuse, before any work, an output directory --out that an existing
+    file blocks: out itself or one of its ancestors. Makes nothing, so an
+    error later still leaves no --out behind."""
+    with _output(out):
+        try:
+            mode = os.stat(out).st_mode  # a file among the ancestors: ENOTDIR
+        except FileNotFoundError:
+            return
+        if not stat.S_ISDIR(mode):
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(out))
 
 
 def _write_run_json(directory: Path, command: str, args) -> None:
@@ -222,8 +240,7 @@ def _write_report(out: Path, series: IndicatorSeries, report, command: str, args
     """indicator.csv, events.json and run.json in the directory out."""
     with _output(out):
         out.mkdir(parents=True, exist_ok=True)
-    write_indicator_csv(series, out / "indicator.csv")  # forks, so outside _output
-    with _output(out):
+        write_indicator_csv(series, out / "indicator.csv")
         write_events_json(report, out / "events.json")
         _write_run_json(out, command, args)
 
@@ -274,6 +291,8 @@ def _parse_reference(text: str):
 
 def _cmd_analyze(args) -> int:
     _resolve_seed(args)
+    out = Path(args.out)
+    _check_out(out)
     src = load_csv(args.input, policy=args.missing)
     partition = load_partition(args.partition) if args.partition else None
     mode, calib = _parse_reference(args.reference)
@@ -291,7 +310,6 @@ def _cmd_analyze(args) -> int:
     )
     series = regional_series(src, cfg) if partition is not None else sweep(src, cfg)
     report = extract_events(series, cfg)
-    out = Path(args.out)
     _write_report(out, series, report, "analyze", args)
     print(f"{len(series.t)} windows, {len(report.events)} events -> {out}")
     return 0
@@ -329,6 +347,8 @@ def _cmd_pca(args) -> int:
     # event extraction settings; threshold_k is not used there, but the
     # config checks --k like analyze's
     cfg = DetectorConfig(window=WindowSpec(T=2), functions=("MSR",), threshold_k=args.k)
+    out = Path(args.out)
+    _check_out(out)
     src = load_csv(args.input, policy=args.missing)
     try:
         lo, hi = (int(x) for x in args.train.split(":"))
@@ -342,8 +362,7 @@ def _cmd_pca(args) -> int:
     data = {}
     for j, nid in enumerate(model.nonpilot_ids):
         std = float(model.train_residual_std[j])
-        data[(nid, "PCA")] = FunctionSeries.judged(resid[j], std, 0.0, std**2, "pca-training",
-                                                   args.k, training)
+        data[(nid, "PCA")] = FunctionSeries.judged(resid[j], std, 0.0, std**2, args.k, training)
     series = IndicatorSeries(
         t=ts,
         data=data,
@@ -357,7 +376,6 @@ def _cmd_pca(args) -> int:
         },
     )
     report = extract_events(series, cfg)
-    out = Path(args.out)
     _write_report(out, series, report, "pca-baseline", args)
     print(f"pilots {list(model.pilot_ids)}, {len(report.events)} events -> {out}")
     return 0

@@ -143,16 +143,15 @@ class FunctionSeries:
     e_eta: float              # expectation used for eta
     e_flag: float             # expectation used for flagging
     d_flag: float             # variance used for flagging
-    reference: str            # "theoretical" | "monte-carlo" | "calibration" | "pca-training"
 
     @classmethod
     def judged(cls, tau: np.ndarray, e_eta: float, e_flag: float, d_flag: float,
-               reference: str, k: float, calib: np.ndarray) -> "FunctionSeries":
+               k: float, calib: np.ndarray) -> "FunctionSeries":
         """eta = tau / e_eta (NaN when e_eta is 0); a sample outside the
         calibration mask `calib` flags when |tau - e_flag| > k sqrt(d_flag)."""
         eta = tau / e_eta if e_eta != 0.0 else np.full_like(tau, np.nan)
         flag = ~calib & (np.abs(tau - e_flag) > k * np.sqrt(d_flag))
-        return cls(tau, eta, flag, e_eta, e_flag, d_flag, reference)
+        return cls(tau, eta, flag, e_eta, e_flag, d_flag)
 
 
 @dataclass
@@ -319,7 +318,7 @@ def _track(
             f"detect: block {block!r}, function {f.name}: {mode} reference moments "
             f"E={e_flag}, D={d_flag} are not a finite mean and nonnegative variance"
         )
-    return FunctionSeries.judged(tau, e_eta, e_flag, d_flag, mode, cfg.threshold_k, calib)
+    return FunctionSeries.judged(tau, e_eta, e_flag, d_flag, cfg.threshold_k, calib)
 
 
 def sweep(src: DataSource, cfg: DetectorConfig) -> IndicatorSeries:
@@ -518,7 +517,7 @@ def read_indicator_csv(path) -> IndicatorSeries:
         flag = np.array([by_t[t][2] for t in ts], dtype=bool)
         data[key] = FunctionSeries(
             tau=tau, eta=eta, flag=flag,
-            e_eta=np.nan, e_flag=np.nan, d_flag=np.nan, reference="unknown",
+            e_eta=np.nan, e_flag=np.nan, d_flag=np.nan,
         )
     return IndicatorSeries(t=t_arr, data=data, meta={})
 

@@ -37,7 +37,6 @@ class PilotModel:
     nonpilot_ids: Tuple[str, ...]
     coefficients: np.ndarray        # (m', n_nonpilot): column j regresses nonpilot j
     train_residual_std: np.ndarray  # per non-pilot node, RMS over the training range
-    train_range: Tuple[int, int]    # half-open sample range
     subspace_dim: int               # m
     condition_number: float         # of the pilot basis on the training range
 
@@ -152,7 +151,6 @@ def train(
         nonpilot_ids=tuple(src.node_ids[k] for k in nonpilots),
         coefficients=coef,
         train_residual_std=rms,
-        train_range=(lo, hi),
         subspace_dim=m,
         condition_number=cond,
     )

@@ -65,21 +65,12 @@ class StandardizedMatrix:
     def N(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def T(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def c(self) -> float:
-        return self.values.shape[0] / self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class RingProduct:
     """Row-rescaled product of L singular-value equivalents (complex N x N)."""
 
     values: np.ndarray
-    L: int
 
 
 def _labels(names, rows: np.ndarray) -> list:
@@ -240,7 +231,7 @@ def ring_product(windows: Sequence[StandardizedMatrix], seed: SeedLike) -> RingP
             raise ShapeError(f"rmm: window row counts differ: {wdw.N} vs {n}")
     rng = as_generator(seed)
     z = _rescaled_product(singular_value_equivalent(wdw, rng) for wdw in windows)
-    return RingProduct(z, L=len(windows))
+    return RingProduct(z)
 
 
 def covariance(x: StandardizedMatrix, convention: str = "M") -> np.ndarray:

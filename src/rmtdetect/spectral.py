@@ -47,10 +47,8 @@ class SpectrumSet:
 
     eigenvalues: np.ndarray
     kind: str
-    N: Optional[int] = None
     T: Optional[int] = None
     c: Optional[float] = None
-    L: Optional[int] = None
 
     def __post_init__(self):
         if self.kind not in ("ring", "covariance", "wigner"):
@@ -64,7 +62,8 @@ def eigen_general(
     T: Optional[int] = None,
     L: Optional[int] = None,
 ) -> SpectrumSet:
-    """All eigenvalues (with multiplicity) of a general square matrix."""
+    """All eigenvalues (with multiplicity) of a general square matrix; N, T
+    and L only name the window when the eigensolver fails."""
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ContractError(f"spectral: need a square matrix, got shape {a.shape}")
@@ -75,7 +74,7 @@ def eigen_general(
             f"spectral: eigensolver failed on {a.shape[0]}x{a.shape[1]} matrix "
             f"(N={N}, T={T}, L={L}): {e}"
         ) from None
-    return SpectrumSet(lam, "ring", N=N if N is not None else a.shape[0], T=T, L=L)
+    return SpectrumSet(lam, "ring")
 
 
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
@@ -115,7 +114,7 @@ def eigen_hermitian(
     lam = _eigvalsh(a)
     if kind == "covariance":
         lam = _covariance_floor(lam)
-    return SpectrumSet(lam, kind, N=a.shape[0], T=T, c=c)
+    return SpectrumSet(lam, kind, T=T, c=c)
 
 
 def sample_goe(n: int, omega2: float = 1.0, seed: SeedLike = None) -> np.ndarray:
@@ -251,7 +250,7 @@ class MarchenkoPastur:
         out = np.clip(vals, 0.0, 1.0)
         return out if np.ndim(x) else float(out[0])
 
-    def mean_phi(self, phi: Callable, rtol: float = 1e-8) -> float:
+    def mean_phi(self, phi: Callable) -> float:
         def total(n):
             x, w = _leggauss(n)
             th = 0.5 * np.pi * x
@@ -263,7 +262,7 @@ class MarchenkoPastur:
                 )
             return float(np.sum(w * vals) * 0.5 * np.pi)
 
-        return _converge(total, rtol)
+        return _converge(total, 1e-8)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import re
@@ -827,7 +828,59 @@ INPUT_EXITS = [
      "ConfigurationError", "cannot write the output path (--out) two: Is a directory"),
     ("out-under-a-file-pca", ["pca-baseline", "--train", "0:100", "--out", "cfg.json/x"], None,
      "ConfigurationError", "cannot write the output path (--out) cfg.json/x: Not a directory"),
+    # an indicator.csv that cannot be opened ended in an IsADirectoryError traceback
+    ("indicator-csv-is-a-directory-analyze", ["analyze", "--out", "blocked"], None,
+     "ConfigurationError", "cannot write the output path (--out) blocked/indicator.csv: "
+     "Is a directory"),
+    ("indicator-csv-is-a-directory-pca", ["pca-baseline", "--train", "0:100", "--out", "blocked"],
+     None, "ConfigurationError", "cannot write the output path (--out) blocked/indicator.csv: "
+     "Is a directory"),
 ]
+
+
+def test_out_blocked_by_a_file_is_refused_before_loading(small_run, tmp_path, capsys,
+                                                         monkeypatch):
+    # analyze found such an --out only when it wrote the report, after the sweep
+    import rmtdetect.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the --out check")
+
+    for name in ("load_csv", "sweep", "regional_series", "train"):
+        monkeypatch.setattr(cli, name, never)
+    _, data, _ = small_run
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cases = [
+        (["analyze", "--input", str(data), "--T", "60", "--out", str(taken)],
+         f"{taken}: File exists"),
+        (["pca-baseline", "--input", str(data), "--train", "0:100", "--out", str(taken / "x")],
+         f"{taken / 'x'}: Not a directory"),
+    ]
+    for argv, named in cases:
+        code, stdout, err = run_cli(capsys, *argv)
+        assert (code, stdout) == (1, "")
+        assert err == ("error [ConfigurationError]: cli: cannot write the output path (--out) "
+                       f"{named}\n")
+    assert taken.read_text() == ""
+
+
+def test_a_failed_worker_fork_is_not_an_out_error(small_run, tmp_path, monkeypatch):
+    # the indicator CSV writer runs under the --out conversion; a fork that
+    # fails for want of processes is not the output path's fault
+    import multiprocessing.context
+
+    from rmtdetect import workers
+
+    def no_fork(self):
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(workers, "count", lambda: 2)
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", no_fork)
+    _, data, _ = small_run
+    with pytest.raises(BlockingIOError):
+        main(["pca-baseline", "--input", str(data), "--train", "0:100",
+              "--out", str(tmp_path / "pca")])
 
 
 def test_mapframes_out_that_is_a_file_is_named(small_run, tmp_path, capsys):
@@ -874,6 +927,7 @@ def test_input_exits_name_their_cause(small_run, tmp_path, capsys, monkeypatch,
     write_csv(DataSource(faint, ("a", "b", "c"), tuple(range(80))), tmp_path / "faint.csv")
     (tmp_path / "regions.json").write_text('{"A": ["bus1"]}')
     (tmp_path / "cfg.json").write_text("{}")
+    (tmp_path / "blocked" / "indicator.csv").mkdir(parents=True)
     (tmp_path / "repeat.csv").write_text("node_id,0,1,2\na,1,2,3\nb,4,5,7\nc,7,8,8\nb,1,0,0\n")
     if env_seed is not None:
         monkeypatch.setenv("RMT_EED_SEED", env_seed)

@@ -344,7 +344,6 @@ def test_calibration_reference_moments():
     assert fs.flag[calib].sum() == 0
     assert fs.e_flag == pytest.approx(fs.tau[calib].mean())
     assert fs.d_flag == pytest.approx(fs.tau[calib].var(ddof=1))
-    assert fs.reference == "calibration"
     # the step still flags against the data-driven reference
     flagged = series.t[fs.flag]
     assert len(flagged) > 0 and flagged.min() == 150
@@ -537,7 +536,7 @@ def _series_from_flags(flags, taus=None, stride=1):
     tau = np.asarray(taus, dtype=float) if taus is not None else flags.astype(float)
     fs = FunctionSeries(
         tau=tau, eta=tau, flag=flags,
-        e_eta=1.0, e_flag=0.0, d_flag=1.0, reference="theoretical",
+        e_eta=1.0, e_flag=0.0, d_flag=1.0,
     )
     return IndicatorSeries(t=t, data={("R", "MSR"): fs}, meta={})
 
@@ -676,7 +675,7 @@ def test_indicator_csv_bytes_match_csv_writer(tmp_path):
         flag = (np.arange(5) + i) % 3 == 0
         data[key] = FunctionSeries(
             tau=np.array(tau), eta=np.array(eta), flag=flag,
-            e_eta=1.0, e_flag=0.0, d_flag=1.0, reference="theoretical",
+            e_eta=1.0, e_flag=0.0, d_flag=1.0,
         )
     series = IndicatorSeries(t=t, data=data, meta={})
     write_indicator_csv(series, tmp_path / "fast.csv")

@@ -21,7 +21,7 @@ def _eta_series(etas_by_region, t):
         arr = np.asarray(etas, dtype=float)
         data[(region, "MSR")] = FunctionSeries(
             tau=arr, eta=arr, flag=np.zeros(len(arr), bool),
-            e_eta=1.0, e_flag=1.0, d_flag=1.0, reference="theoretical",
+            e_eta=1.0, e_flag=1.0, d_flag=1.0,
         )
     return IndicatorSeries(t=np.asarray(t), data=data, meta={})
 

@@ -75,3 +75,9 @@ def test_a_pca_baseline_run_picks_five_pilots():
     # three greedy steps past the first pair, each picking by the max-min angle
     runs = [argv for argv in same_bytes.COMMANDS if argv[0] == "pca-baseline"]
     assert [argv[argv.index("--m-prime") + 1] for argv in runs if "--m-prime" in argv] == ["5"]
+
+
+def test_an_analyze_run_takes_its_reference_from_calibration_windows():
+    runs = [argv for argv in same_bytes.COMMANDS if argv[0] == "analyze"]
+    assert [argv[argv.index("--reference") + 1] for argv in runs if "--reference" in argv] == [
+        "calib:239:580"]

@@ -204,7 +204,7 @@ def test_esd_distance_plugin_sample():
     law = MarchenkoPastur(kind="mp2", c=0.5)
     n = 200
     lam = _mp2_inverse_cdf_sample(law, n)
-    s = SpectrumSet(lam, "covariance", N=n)
+    s = SpectrumSet(lam, "covariance")
     assert esd_distance(s, law) <= 1.0 / n
 
 
@@ -218,7 +218,7 @@ def test_esd_distance_gaussian_covariance():
 def test_esd_distance_detects_gross_mismatch():
     law = MarchenkoPastur(kind="mp2", c=0.5)
     lam = _mp2_inverse_cdf_sample(law, 400) + 1.0
-    s = SpectrumSet(lam, "covariance", N=400)
+    s = SpectrumSet(lam, "covariance")
     assert esd_distance(s, law) >= 0.2
 
 
@@ -235,7 +235,7 @@ def test_esd_distance_ring_radial():
     law = RingLaw(c=c, L=L)
     u = (np.arange(1, 301) - 0.5) / 300
     r = np.sqrt((1 - c) + c * u)
-    s = SpectrumSet(r * np.exp(2j * np.pi * rng.random(300)), "ring", N=300)
+    s = SpectrumSet(r * np.exp(2j * np.pi * rng.random(300)), "ring")
     assert esd_distance(s, law) <= 1 / 300
 
 

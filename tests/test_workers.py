@@ -152,7 +152,7 @@ def _tracks(n: int) -> IndicatorSeries:
         tau = rng.standard_normal(len(t)) * 10.0 ** rng.integers(-8, 9)
         data[(region, ("MSR", "T2", "LRF")[i % 3])] = FunctionSeries(
             tau=tau, eta=tau / 3.0, flag=np.abs(tau) > 1.0,
-            e_eta=3.0, e_flag=0.0, d_flag=1.0, reference="theoretical",
+            e_eta=3.0, e_flag=0.0, d_flag=1.0,
         )
     return IndicatorSeries(t=t, data=data, meta={})
 

@@ -12,6 +12,9 @@ fresh directory per setting, one subprocess per command:
   tool writes (``interleaved_partition``): five regions, each every fifth
   node of a shuffled order, so no region is a block of adjacent rows or
   in source order;
+* ``analyze`` with its partition, ``--T 240 --stride 19 --functions
+  MSR,T2,LRF --reference calib:239:580``: every track takes its reference
+  moments from the calibration windows;
 * ``pca-baseline --train 0:500``;
 * ``pca-baseline --train 100:580 --m-prime 5 --m 20``: five pilots, so
   three greedy steps run past the first pair;
@@ -59,6 +62,9 @@ COMMANDS = [
     ["analyze", "--input", "data/table3.csv", "--partition", INTERLEAVED,
      "--T", "240", "--stride", "19", "--functions", "MSR,T2,T3,T4,DET,LRF",
      "--out", "analyze-interleaved"],
+    ["analyze", "--input", "data/table3.csv", "--partition", "data/partition.json",
+     "--T", "240", "--stride", "19", "--functions", "MSR,T2,LRF", "--reference", "calib:239:580",
+     "--out", "analyze-calib"],
     ["pca-baseline", "--input", "data/table3.csv", "--train", "0:500", "--out", "pca"],
     ["pca-baseline", "--input", "data/table3.csv", "--train", "100:580", "--m-prime", "5",
      "--m", "20", "--out", "pca-five"],
@@ -91,16 +97,13 @@ WITHIN = (("pinned-cpu0", True), ("unpinned", False))
 WRAPPER = r"""
 import glob, json, sys
 from rmtdetect.cli import main
-try:
-    from rmtdetect.workers import count
-except ImportError:
-    count = None
+from rmtdetect.workers import count
 code = main(sys.argv[1:])
 left = []
 for path in glob.glob("/proc/self/task/*/children"):
     with open(path) as fh:
         left += [int(p) for p in fh.read().split()]
-print(json.dumps({"exit": code, "children_left": left, "workers": count and count()}))
+print(json.dumps({"exit": code, "children_left": left, "workers": count()}))
 """
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\bnan\b|\binf\b")
