@@ -156,7 +156,7 @@ class FunctionSeries:
 
 @dataclass
 class IndicatorSeries:
-    """Per-timestamp LES values, indexed by window END sample."""
+    """Per-window LES values, indexed by window END sample."""
 
     t: np.ndarray
     data: Dict[Tuple[str, str], FunctionSeries]
@@ -506,19 +506,17 @@ def read_indicator_csv(path) -> IndicatorSeries:
         track[t] = value
     if not rows:
         raise MalformedInputError(f"{what} holds no indicator rows")
-    ts = sorted(next(iter(rows.values())).keys())
+    first, first_ts = next(iter(rows.items()))
+    ts = sorted(first_ts)
     t_arr = np.array(ts, dtype=int)
     data = {}
     for key, by_t in rows.items():
-        if sorted(by_t.keys()) != ts:
-            raise MalformedInputError(f"{what} has inconsistent timestamps across tracks")
-        tau = np.array([by_t[t][0] for t in ts])
-        eta = np.array([by_t[t][1] for t in ts])
-        flag = np.array([by_t[t][2] for t in ts], dtype=bool)
-        data[key] = FunctionSeries(
-            tau=tau, eta=eta, flag=flag,
-            e_eta=np.nan, e_flag=np.nan, d_flag=np.nan,
-        )
+        if by_t.keys() != first_ts.keys():
+            odd = min(by_t.keys() ^ first_ts.keys())
+            has, lacks = (key, first) if odd in by_t else (first, key)
+            raise MalformedInputError(f"{what}: t={odd} is in track {has} but not in {lacks}")
+        tau, eta, flag = map(np.array, zip(*(by_t[t] for t in ts)))  # float, float, bool
+        data[key] = FunctionSeries(tau, eta, flag, e_eta=np.nan, e_flag=np.nan, d_flag=np.nan)
     return IndicatorSeries(t=t_arr, data=data, meta={})
 
 

@@ -37,23 +37,19 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DataSource:
-    """Immutable n x t measurement matrix with node labels and timestamps."""
+    """Immutable n x t measurement matrix with node labels; column j is sample j."""
 
     values: np.ndarray
     node_ids: Tuple[str, ...]
-    timestamps: Tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "values", _readonly(np.asarray(self.values, dtype=float)))
         object.__setattr__(self, "node_ids", tuple(self.node_ids))
-        object.__setattr__(self, "timestamps", tuple(int(x) for x in self.timestamps))
         n, t = self.values.shape
         if n < 2 or t < 2:
             raise ParameterError(f"ingest: data source must be at least 2x2, got {n}x{t}")
         if len(self.node_ids) != n:
             raise ContractError(f"ingest: {len(self.node_ids)} node ids for {n} rows")
-        if len(self.timestamps) != t:
-            raise ContractError(f"ingest: {len(self.timestamps)} timestamps for {t} columns")
         if len(set(self.node_ids)) != n:
             dup = next(nid for i, nid in enumerate(self.node_ids) if nid in self.node_ids[:i])
             raise ContractError(f"ingest: node ids must be unique; {dup!r} repeats")
@@ -77,7 +73,7 @@ class DataSource:
     def restrict(self, node_subset: Sequence[str]) -> "DataSource":
         """New source containing only the given nodes, in the given order."""
         rows = [self.row_index(nid) for nid in node_subset]
-        return DataSource(self.values[rows], tuple(node_subset), self.timestamps)
+        return DataSource(self.values[rows], tuple(node_subset))
 
 
 @dataclass(frozen=True)
@@ -147,7 +143,10 @@ def _parse_cell(text: str) -> float:
 
 
 def load_csv(path, policy: str = "error") -> DataSource:
-    """Parse a measurement CSV: header row of timestamps, first column node ids.
+    """Parse a measurement CSV: first column node ids, one column per sample.
+
+    The header row fixes the column count; its cells are labels that
+    nothing reads.
 
     Missing/non-finite cells are resolved per ``policy``:
 
@@ -159,14 +158,12 @@ def load_csv(path, policy: str = "error") -> DataSource:
         raise ParameterError(f"ingest: unknown missing-data policy {policy!r}")
     path = Path(path)
     reader = _csv_rows(path, "ingest: data file")
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise MalformedInputError(f"ingest: {path} is empty") from None
-    try:
-        timestamps = [int(float(x)) for x in header[1:]]
-    except (ValueError, OverflowError):  # nan, inf and 1e400 have no int
-        raise MalformedInputError(f"ingest: {path} header is not numeric timestamps") from None
+    header = next(reader, None)
+    if header is None:
+        raise MalformedInputError(f"ingest: {path} is empty")
+    if not header:
+        raise MalformedInputError(f"ingest: {path} row 1: the header row has no cells")
+    width = len(header) - 1
     first_row = {}  # node id -> its file row, in file order
     rows = []
     for r, rec in enumerate(reader, start=2):
@@ -179,15 +176,15 @@ def load_csv(path, policy: str = "error") -> DataSource:
             raise MalformedInputError(
                 f"ingest: {path} rows {first_row[nid]} and {r}: node id {nid!r} repeats"
             )
-        if len(rec) - 1 != len(timestamps):
+        if len(rec) - 1 != width:
             raise MalformedInputError(
-                f"ingest: {path} row {r}: {len(rec) - 1} cells, expected {len(timestamps)}"
+                f"ingest: {path} row {r}: {len(rec) - 1} cells, expected {width}"
             )
         try:
             # float strips whitespace itself, as _parse_cell does
             vals = np.array(list(map(float, rec[1:])))
         except ValueError:  # a blank or bad cell: parse cell by cell
-            vals = np.empty(len(timestamps))
+            vals = np.empty(width)
             for j, cell in enumerate(rec[1:]):
                 try:
                     vals[j] = _parse_cell(cell)
@@ -198,7 +195,7 @@ def load_csv(path, policy: str = "error") -> DataSource:
         rows.append(vals)
     if not rows:
         raise MalformedInputError(f"ingest: {path} has no data rows")
-    return DataSource(np.vstack(rows), tuple(first_row), tuple(timestamps))
+    return DataSource(np.vstack(rows), tuple(first_row))
 
 
 def _apply_policy(vals: np.ndarray, nid: str, policy: str, path, row: int) -> np.ndarray:
@@ -240,7 +237,7 @@ def write_csv(src: DataSource, path) -> None:
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["node_id", *src.timestamps])
+        writer.writerow(["node_id", *range(src.t)])
         for nid, row in zip(src.node_ids, src.values):
             writer.writerow([nid, *map(repr, row.tolist())])
 

@@ -116,7 +116,7 @@ def generate(sc: Scenario, seed: SeedLike = 0) -> DataSource:
     with np.errstate(over="ignore", invalid="ignore"):
         for seg in sc.segments:
             _draw_segment(values[:, seg.start : seg.end], seg, sc)
-    return DataSource(values, sc.node_ids(), tuple(range(sc.t)))
+    return DataSource(values, sc.node_ids())
 
 
 def _draw_segment(block: np.ndarray, seg: Segment, sc: Scenario) -> None:
@@ -188,16 +188,17 @@ def table3_scenario(n: int = 118, t: int = 1500, noise_std: float = 1.0) -> Scen
     tail of the ramp degenerating into a variance collapse from 1306 (0-based
     sample indices; the classic stage split S1..S5 falls out of this timing).
 
-    Scaled into noise units; requires t >= 1500-proportional phase layout.
+    Scaled into noise units; the phase boundaries scale with t.
     """
-    if t < 8 or n < 2:
-        raise ParameterError("synth: preset needs a reasonably sized grid")
     # canonical boundaries 600/1200/1306 out of 1500, scaled for other t
     step_at = round(t * PRESET_STEP_AT / 1500)
     ramp_at = round(t * PRESET_RAMP_AT / 1500)
     collapse_at = round(t * PRESET_COLLAPSE_AT / 1500)
-    if not 0 < step_at < ramp_at < collapse_at < t:
-        raise ParameterError(f"synth: preset phases collapsed for t={t}")
+    if not 0 < step_at < ramp_at < collapse_at < t:  # every t below 8, and t = 12
+        raise ParameterError(
+            "synth: the table3 preset needs 0 < step < ramp < collapse < --t; "
+            f"--t {t} gives {step_at}, {ramp_at}, {collapse_at}"
+        )
     node = min(PRESET_EVENT_NODE, n - 1)
     lvl = PRESET_STEP_LEVEL * noise_std
     slope = PRESET_RAMP_SLOPE * noise_std

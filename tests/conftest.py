@@ -68,4 +68,4 @@ def gaussian_source():
     rng = np.random.default_rng(424242)
     vals = rng.standard_normal((12, 80))
     ids = tuple(f"n{i:02d}" for i in range(12))
-    return DataSource(vals, ids, tuple(range(80)))
+    return DataSource(vals, ids)

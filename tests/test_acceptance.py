@@ -194,13 +194,11 @@ def test_criterion_7_robust_to_core_area_loss(preset_run):
 def test_criterion_8_unit_invariance(preset_run):
     _, data, _ = preset_run
     src = load_csv(data)
-    short = DataSource(src.values[:, :520], src.node_ids, src.timestamps[:520])
+    short = DataSource(src.values[:, :520], src.node_ids)
     rng = np.random.default_rng(88)
     gains = rng.uniform(0.2, 500.0, short.n)
     offsets = rng.uniform(-2e3, 2e3, short.n)
-    rescaled = DataSource(
-        gains[:, None] * short.values + offsets[:, None], short.node_ids, short.timestamps
-    )
+    rescaled = DataSource(gains[:, None] * short.values + offsets[:, None], short.node_ids)
     cfg = DetectorConfig(window=WindowSpec(T=T_WINDOW), functions=("MSR", "LRF"), base_seed=0)
     a = sweep(short, cfg)
     b = sweep(rescaled, cfg)
@@ -240,14 +238,14 @@ def test_criterion_10_pca_baseline_contrast(preset_run):
     step_flagged = bool(flags[ts >= STEP_AT].all()) and not flags[ts < STEP_AT].any()
 
     # sign-pattern-preserving global transformation: every sensor reversed
-    negated = DataSource(-src.values, src.node_ids, src.timestamps)
+    negated = DataSource(-src.values, src.node_ids)
     _, resid_neg = residual_series(model, negated)
     pca_blind = np.array_equal(resid_neg, resid)
 
     # record the RMT detector's behavior on the same transformation
     cfg = DetectorConfig(window=WindowSpec(T=T_WINDOW), functions=("MSR",), base_seed=0)
-    tau_orig = sweep(DataSource(src.values[:, :400], src.node_ids, src.timestamps[:400]), cfg)
-    tau_neg = sweep(DataSource(-src.values[:, :400], src.node_ids, src.timestamps[:400]), cfg)
+    tau_orig = sweep(DataSource(src.values[:, :400], src.node_ids), cfg)
+    tau_neg = sweep(DataSource(-src.values[:, :400], src.node_ids), cfg)
     rmt_delta = float(
         np.max(np.abs(tau_orig.data[("ALL", "MSR")].tau - tau_neg.data[("ALL", "MSR")].tau))
     )

@@ -1,4 +1,5 @@
 import contextlib
+import datetime
 import errno
 import io
 import json
@@ -348,6 +349,42 @@ def test_analyze_rerun_is_identical(small_run, tmp_path):
     ]) == 0
     assert (again / "indicator.csv").read_bytes() == (report / "indicator.csv").read_bytes()
     assert (again / "events.json").read_bytes() == (report / "events.json").read_bytes()
+
+
+def _dates(t):
+    return [(datetime.date(2015, 1, 1) + datetime.timedelta(days=j)).isoformat() for j in range(t)]
+
+
+# The header fixes the column count and nothing else: inf cells and dates
+# write the bytes a 0..t-1 header writes.
+HEADER_LABEL_RUNS = [
+    ("inf-header-analyze", "analyze", lambda t: ["inf"] * t),
+    ("date-header-analyze", "analyze", _dates),
+    ("inf-header-pca", "pca-baseline", lambda t: ["inf"] * t),
+    ("date-header-pca", "pca-baseline", _dates),
+]
+
+
+@pytest.mark.parametrize("command, labels", [c[1:] for c in HEADER_LABEL_RUNS],
+                         ids=[c[0] for c in HEADER_LABEL_RUNS])
+def test_header_labels_change_no_output_byte(small_run, tmp_path, capsys, command, labels):
+    _, data, report = small_run
+    header, rows = data.read_bytes().split(b"\r\n", 1)
+    assert header == ",".join(["node_id", *map(str, range(300))]).encode()
+    relabelled = tmp_path / "labels.csv"
+    relabelled.write_bytes(",".join(["node_id", *labels(300)]).encode() + b"\r\n" + rows)
+    flags = {
+        "analyze": ["--T", "60", "--functions", "MSR", "--k", "3", "--seed", "0",
+                    "--mc-reps", "80"],
+        "pca-baseline": ["--train", "0:100"],
+    }[command]
+    if command == "pca-baseline":
+        report = tmp_path / "numbered"
+        assert run_cli(capsys, command, "--input", str(data), *flags, "--out", str(report))[0] == 0
+    out = tmp_path / "labelled"
+    assert run_cli(capsys, command, "--input", str(relabelled), *flags, "--out", str(out))[0] == 0
+    for name in ("indicator.csv", "events.json"):
+        assert (out / name).read_bytes() == (report / name).read_bytes()
 
 
 def test_analyze_with_partition_and_calibration(small_run, tmp_path, capsys):
@@ -790,10 +827,6 @@ INPUT_EXITS = [
      "ParameterError", "mc_reps (--mc-reps) must be >= 2 for a Monte Carlo variance, got 1"),
     ("theory-product-depth-zero", ["theory", "--N", "10", "--T", "20", "--L", "0"], None,
      "ParameterError", "theory needs a ring product depth (--L) >= 1, got 0"),
-    ("inf-header-analyze", ["analyze", "--input", "inf.csv"], None,
-     "MalformedInputError", "inf.csv header is not numeric timestamps"),
-    ("inf-header-pca", ["pca-baseline", "--train", "0:100", "--input", "inf.csv"], None,
-     "MalformedInputError", "inf.csv header is not numeric timestamps"),
     ("layout-without-coordinates", ["mapframes", "--layout", "regions.json"], None,
      "ConfigurationError", "regions.json carries no layout coordinates"),
     # the calibration and map-frame checks named no flag
@@ -816,6 +849,13 @@ INPUT_EXITS = [
     ("preset-fewer-nodes-than-regions", ["simulate", "--preset", "table3", "--n", "5",
                                          "--out", "out/table3.csv"], None,
      "ParameterError", "table3 preset has 6 regions, so it needs at least 6 nodes (--n); got 5"),
+    # a preset too short for its phases named no flag
+    ("preset-t-below-eight", ["simulate", "--preset", "table3", "--t", "7",
+                              "--out", "out/table3.csv"], None,
+     "ParameterError", "table3 preset needs 0 < step < ramp < collapse < --t; --t 7 gives 3, 6, 6"),
+    ("preset-phases-collapse", ["simulate", "--preset", "table3", "--t", "12",
+                                "--out", "out/table3.csv"], None,
+     "ParameterError", "--t 12 gives 5, 10, 10"),
     # a repeated node id named no id, file or row
     ("node-id-repeats", ["analyze", "--input", "repeat.csv"], None,
      "MalformedInputError", "repeat.csv rows 3 and 5: node id 'b' repeats"),
@@ -901,30 +941,26 @@ def test_mapframes_out_that_is_a_file_is_named(small_run, tmp_path, capsys):
                          ids=[c[0] for c in INPUT_EXITS])
 def test_input_exits_name_their_cause(small_run, tmp_path, capsys, monkeypatch,
                                       argv, env_seed, error, named):
-    # --train 0:3 fitted three pilots exactly and flagged nearly every row;
-    # an inf header cell ended in an OverflowError traceback
+    # --train 0:3 fitted three pilots exactly and flagged nearly every row
     root, data, report = small_run
-    (tmp_path / "inf.csv").write_text("node_id,0,inf\nbus1,1.0,2.0\nbus2,3.0,4.0\n")
     # ten repeats of one 20-sample stretch: every calibration window is the same
     rng = np.random.default_rng(1)
     periodic = np.concatenate([np.tile(rng.standard_normal((10, 20)), 10),
                                rng.standard_normal((10, 40))], axis=1)
-    write_csv(DataSource(periodic, tuple(f"n{i}" for i in range(10)), tuple(range(240))),
+    write_csv(DataSource(periodic, tuple(f"n{i}" for i in range(10))),
               tmp_path / "periodic.csv")
     (tmp_path / "two").mkdir()
     (tmp_path / "two" / "indicator.csv").write_text(
         "t,region,function,tau,eta,flag\r\n0,A1,MSR,1.0,1.0,normal\r\n0,A1,T2,1.0,1.0,normal\r\n"
     )
-    write_csv(DataSource(np.zeros((5, 40)), tuple(f"n{i}" for i in range(5)), tuple(range(40))),
+    write_csv(DataSource(np.zeros((5, 40)), tuple(f"n{i}" for i in range(5))),
               tmp_path / "zeros.csv")
     huge = sample_gaussian_matrix(6, 60, seed=1)
-    write_csv(DataSource(huge.values * 1e154, huge.node_ids, huge.timestamps),
-              tmp_path / "huge.csv")
-    write_csv(DataSource(huge.values * 1e-160, huge.node_ids, huge.timestamps),
-              tmp_path / "tiny.csv")
+    write_csv(DataSource(huge.values * 1e154, huge.node_ids), tmp_path / "huge.csv")
+    write_csv(DataSource(huge.values * 1e-160, huge.node_ids), tmp_path / "tiny.csv")
     ab = rng.standard_normal((2, 80)) * 1e-150
     faint = np.vstack([ab, ab.sum(axis=0) + rng.standard_normal(80) * 1e-170])
-    write_csv(DataSource(faint, ("a", "b", "c"), tuple(range(80))), tmp_path / "faint.csv")
+    write_csv(DataSource(faint, ("a", "b", "c")), tmp_path / "faint.csv")
     (tmp_path / "regions.json").write_text('{"A": ["bus1"]}')
     (tmp_path / "cfg.json").write_text("{}")
     (tmp_path / "blocked" / "indicator.csv").mkdir(parents=True)

@@ -123,9 +123,7 @@ def test_unit_invariance_of_tau_and_flags():
     rng = np.random.default_rng(4)
     gains = rng.uniform(0.5, 200.0, src.n)
     offsets = rng.uniform(-1e3, 1e3, src.n)
-    rescaled = DataSource(
-        gains[:, None] * src.values + offsets[:, None], src.node_ids, src.timestamps
-    )
+    rescaled = DataSource(gains[:, None] * src.values + offsets[:, None], src.node_ids)
     cfg = small_cfg(functions=("MSR", "LRF"))
     a = sweep(src, cfg)
     b = sweep(rescaled, cfg)
@@ -152,7 +150,7 @@ def test_sweep_determinism_and_stride_consistency():
 def _with_constant_row(src, row):
     vals = src.values.copy()
     vals[row] = 1.0
-    return DataSource(vals, src.node_ids, src.timestamps)
+    return DataSource(vals, src.node_ids)
 
 
 def test_degenerate_row_error_names_the_node():
@@ -170,7 +168,7 @@ def test_degenerate_row_error_names_the_node():
 
 def _lrf_sweep(vals):
     ids = tuple(f"n{i}" for i in range(vals.shape[0]))
-    src = DataSource(vals, ids, tuple(range(vals.shape[1])))
+    src = DataSource(vals, ids)
     sweep(src, small_cfg(window=WindowSpec(T=30), functions=("LRF",)))
 
 
@@ -267,7 +265,7 @@ def test_log_domain_functions_need_fewer_nodes_than_samples():
         with pytest.raises(AspectRatioError, match="'ALL' has 20 nodes.*LRF, DET need N < T"):
             sweep(src, cfg)
     before = clamp_event_count()
-    narrower = DataSource(src.values[:19], src.node_ids[:19], src.timestamps)
+    narrower = DataSource(src.values[:19], src.node_ids[:19])
     series = sweep(narrower, cfg)
     assert np.isfinite(series.data[("ALL", "LRF")].tau).all()
     assert clamp_event_count() == before
@@ -286,7 +284,7 @@ def _duplicated_row(n, t, seed):
     src = sample_gaussian_matrix(n, t, seed=seed)
     vals = src.values.copy()
     vals[-1] = vals[-2]
-    return DataSource(vals, src.node_ids, src.timestamps)
+    return DataSource(vals, src.node_ids)
 
 
 def _clamp_records(caplog, src, cfg):
@@ -322,7 +320,7 @@ def test_covariance_les_invariant_under_row_permutation():
     # MSR is invariant only in distribution: the Haar draw acts on the permuted rows
     src = step_source()
     perm = np.random.default_rng(9).permutation(src.n)
-    shuffled = DataSource(src.values[perm], tuple(src.node_ids[i] for i in perm), src.timestamps)
+    shuffled = DataSource(src.values[perm], tuple(src.node_ids[i] for i in perm))
     cfg = small_cfg(functions=("T2", "T3", "T4", "DET", "LRF"))
     a = sweep(src, cfg)
     b = sweep(shuffled, cfg)
@@ -355,7 +353,7 @@ def test_zero_calibration_variance_is_a_configuration_error():
     rng = np.random.default_rng(1)
     period = rng.standard_normal((10, 20))
     vals = np.concatenate([np.tile(period, 10), 3 * rng.standard_normal((10, 40)) + 5], axis=1)
-    src = DataSource(vals, tuple(f"n{i}" for i in range(10)), tuple(range(240)))
+    src = DataSource(vals, tuple(f"n{i}" for i in range(10)))
     cfg = small_cfg(window=WindowSpec(T=40, stride=20), functions=("T2",),
                     reference="calibration", calibration_range=(39, 159))
     with pytest.raises(ConfigurationError, match=r"'ALL', function T2: .*\[39, 159\]"):
@@ -405,7 +403,7 @@ def test_regions_are_independent_of_each_other():
     src_a = sample_gaussian_matrix(12, 200, seed=1)
     vals = src_a.values.copy()
     vals[6:] += 100.0 * np.random.default_rng(2).standard_normal((6, 200))
-    src_b = DataSource(vals, src_a.node_ids, src_a.timestamps)
+    src_b = DataSource(vals, src_a.node_ids)
     half_a = tuple(src_a.node_ids[:6])
     part = RegionPartition({"P": half_a, "Q": tuple(src_a.node_ids[6:])})
     cfg = small_cfg(window=WindowSpec(T=40), regions=part, mc_reps=60)
@@ -624,7 +622,7 @@ def test_indicator_csv_roundtrip(tmp_path):
 READ_INDICATOR_EXITS = [
     ("header-only", "", "holds no indicator rows"),
     ("timestamps-differ", "0,A,MSR,1.0,1.0,normal\r\n1,B,MSR,1.0,1.0,normal\r\n",
-     "inconsistent timestamps across tracks"),
+     "t=0 is in track ('A', 'MSR') but not in ('B', 'MSR')"),
     # the writer never repeats a row: the second one silently overwrote the first
     ("repeated-row", "1,ALL,MSR,0.5,1.0,normal\r\n1,ALL,MSR,0.9,1.0,normal\r\n",
      "row 3: repeats t=1 of region 'ALL', function 'MSR'"),

@@ -41,7 +41,6 @@ def test_load_csv_parses_finite_matrix(tmp_path):
     src = load_csv(p)
     assert src.n == 3 and src.t == 4
     assert src.node_ids == ("a", "b", "c")
-    assert src.timestamps == (0, 1, 2, 3)
     assert src.values[2, 2] == pytest.approx(0.2)
 
 
@@ -219,10 +218,8 @@ def test_non_numeric_cell(tmp_path):
 
 LOAD_CSV_EXITS = [
     ("empty", "", "is empty"),
-    ("word-header", "node_id,0,one\na,1,2\n", "header is not numeric timestamps"),
-    # int(float(x)) raised OverflowError on these two, a traceback in the CLI
-    ("inf-header", "node_id,0,inf\na,1,2\n", "header is not numeric timestamps"),
-    ("overflowing-header", "node_id,0,1e400\na,1,2\n", "header is not numeric timestamps"),
+    # a header of no cells fixes no column count
+    ("blank-header-line", "\na,1,2\nb,3,4\n", "d.csv row 1: the header row has no cells"),
     ("wrong-cell-count", "node_id,0,1\na,1,2,3\n", "row 2: 3 cells, expected 2"),
     ("blank-lines-only", "node_id,0,1\n\n\n", "has no data rows"),
 ]
@@ -236,6 +233,25 @@ def test_load_csv_input_exits(tmp_path, text, named):
     with pytest.raises(MalformedInputError) as info:
         load_csv(p)
     assert info.value.exit_code == 1 and named in str(info.value)
+
+
+# The header fixes the column count and nothing else: its cells are labels,
+# so cells that are no finite number load too.
+HEADER_LABELS = [
+    ("word-header", "node_id,0,one"),
+    ("inf-header", "node_id,0,inf"),
+    ("overflowing-header", "node_id,0,1e400"),
+]
+
+
+@pytest.mark.parametrize("header", [c[1] for c in HEADER_LABELS],
+                         ids=[c[0] for c in HEADER_LABELS])
+def test_load_csv_reads_header_cells_as_labels(tmp_path, header):
+    p = tmp_path / "d.csv"
+    p.write_text(f"{header}\na,1,2\nb,3,4\n")
+    src = load_csv(p)
+    assert src.node_ids == ("a", "b")
+    np.testing.assert_array_equal(src.values, [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_missing_file():
@@ -255,17 +271,16 @@ def test_csv_roundtrip(tmp_path, gaussian_source):
     write_csv(gaussian_source, p)
     back = load_csv(p)
     assert back.node_ids == gaussian_source.node_ids
-    assert back.timestamps == gaussian_source.timestamps
     np.testing.assert_array_equal(back.values, gaussian_source.values)
 
 
 def test_datasource_rejects_duplicates_and_tiny_shapes():
     with pytest.raises(ContractError, match="unique"):
-        DataSource(np.ones((2, 3)), ("a", "a"), (0, 1, 2))
+        DataSource(np.ones((2, 3)), ("a", "a"))
     with pytest.raises(ContractError, match="node ids must be unique; 'b' repeats$"):
-        DataSource(np.ones((4, 3)), ("a", "b", "c", "b"), (0, 1, 2))
+        DataSource(np.ones((4, 3)), ("a", "b", "c", "b"))
     with pytest.raises(ParameterError):
-        DataSource(np.ones((1, 5)), ("a",), tuple(range(5)))
+        DataSource(np.ones((1, 5)), ("a",))
 
 
 def test_datasource_is_immutable(gaussian_source):

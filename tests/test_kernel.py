@@ -85,7 +85,7 @@ def test_jitter_policy_matches_the_per_window_loop(at_workers):
     src = sample_gaussian_matrix(10, 100, seed=3)
     vals = src.values.copy()
     vals[4, 20:70] = 7.5
-    src = DataSource(vals, src.node_ids, src.timestamps)
+    src = DataSource(vals, src.node_ids)
     cfg = DetectorConfig(window=WindowSpec(T=30, stride=2), functions=("MSR", "T2", "LRF"),
                          degenerate_policy="jitter", base_seed=4, mc_reps=4)
     expected = _reference_taus(src.values, np.arange(29, 100, 2), cfg)
@@ -99,7 +99,7 @@ def test_cli_jitter_policy_writes_the_per_window_loop_taus(tmp_path, capsys):
     vals = src.values.copy()
     vals[6, 10:60] = -3.25  # flat in every window ending in 39..59
     data = tmp_path / "data.csv"
-    write_csv(DataSource(vals, src.node_ids, src.timestamps), data)
+    write_csv(DataSource(vals, src.node_ids), data)
     code = main(["analyze", "--input", str(data), "--T", "30", "--functions", "MSR,T3,DET",
                  "--degenerate", "jitter", "--mc-reps", "4", "--seed", "6",
                  "--out", str(tmp_path / "report")])
@@ -192,7 +192,7 @@ def test_sweep_row_check_names_the_nodes_standardize_names(at_workers, row, valu
     expected = _standardize_error(vals, row)
     assert f"['n{row}']" in expected and "float64" in expected
     # the last of the 31 windows holds only vals; at two workers it runs in the child
-    src = DataSource(np.hstack([noise, vals]), tuple(f"n{i}" for i in range(8)), tuple(range(60)))
+    src = DataSource(np.hstack([noise, vals]), tuple(f"n{i}" for i in range(8)))
     cfg = DetectorConfig(window=WindowSpec(T=30), functions=("MSR", "LRF"), mc_reps=4)
     for n in (1, 2):
         with pytest.raises(DegenerateRowError) as err:

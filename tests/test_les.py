@@ -72,7 +72,7 @@ def test_rank_deficient_windows_floor_every_near_zero_eigenvalue():
     vals = src.values.copy()
     vals[5], vals[7] = vals[4], vals[6]
     cfg = DetectorConfig(window=WindowSpec(T=60), functions=("DET",))
-    series = sweep(DataSource(vals, src.node_ids, src.timestamps), cfg)
+    series = sweep(DataSource(vals, src.node_ids), cfg)
     for end, tau in zip(series.t, series.data[("ALL", "DET")].tau):
         lam = eigen_hermitian(covariance(standardize(vals[:, end - 59 : end + 1]))).eigenvalues
         assert (lam[:2] < LOG_CLAMP).all() and (lam[2:] > 1e-3).all()

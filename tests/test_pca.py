@@ -12,7 +12,7 @@ from rmtdetect.errors import ParameterError
 
 def _source(vals, prefix="s"):
     n = vals.shape[0]
-    return DataSource(vals, tuple(f"{prefix}{i}" for i in range(n)), tuple(range(vals.shape[1])))
+    return DataSource(vals, tuple(f"{prefix}{i}" for i in range(n)))
 
 
 def factor_source(n_nodes=10, t=600, n_factors=3, noise=0.1, seed=7):
@@ -109,7 +109,7 @@ def test_judging_invariant_under_node_row_permutation():
     src, _ = factor_source()
     model = train(src, (0, 400), m_prime=3)
     perm = np.random.default_rng(3).permutation(src.n)
-    shuffled = DataSource(src.values[perm], tuple(src.node_ids[i] for i in perm), src.timestamps)
+    shuffled = DataSource(src.values[perm], tuple(src.node_ids[i] for i in perm))
     _, resid_a = residual_series(model, src)
     _, resid_b = residual_series(model, shuffled)
     np.testing.assert_allclose(resid_a, resid_b, atol=1e-12)
@@ -172,7 +172,7 @@ def test_a_zero_training_row_is_picked_and_named():
     src = generate(table3_scenario(), seed=5)
     vals = src.values.copy()
     vals[40, 100:580] = 0.0
-    src = DataSource(vals, src.node_ids, src.timestamps)
+    src = DataSource(vals, src.node_ids)
     with pytest.raises(ParameterError, match=r"pilot basis \['bus1', 'bus41', 'bus114'\] is "
                        r"ill-conditioned \(condition number inf\)$"):
         train(src, (100, 580), m_prime=3)
@@ -214,8 +214,7 @@ def test_parameter_validation():
 
 
 def test_m_prime_range_ends():
-    src = DataSource(np.random.default_rng(3).standard_normal((6, 50)), tuple("abcdef"),
-                     tuple(range(50)))
+    src = DataSource(np.random.default_rng(3).standard_normal((6, 50)), tuple("abcdef"))
     for m_prime in (0, 6):
         with pytest.raises(ParameterError, match=rf"--m-prime\) must satisfy 1 <= m' <= N-1 = 5, .*got m'={m_prime}$"):
             train(src, (0, 40), m_prime=m_prime)

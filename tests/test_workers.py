@@ -91,7 +91,7 @@ def test_error_in_second_chunk_matches_the_serial_error(at_workers):
     src = sample_gaussian_matrix(8, 200, seed=6)
     vals = src.values.copy()
     vals[3, 150:] = 1.0
-    src = DataSource(vals, src.node_ids, src.timestamps)
+    src = DataSource(vals, src.node_ids)
     cfg = DetectorConfig(window=WindowSpec(T=30), mc_reps=10)
     errors = []
     for n in (1, 2):
@@ -129,7 +129,7 @@ def test_blockwise_error_comes_from_the_earliest_window_end(at_workers):
     vals = src.values.copy()
     vals[1, 250:] = 1.0
     vals[21, 220:] = 1.0
-    src = DataSource(vals, src.node_ids, src.timestamps)
+    src = DataSource(vals, src.node_ids)
     cfg = DetectorConfig(window=WindowSpec(T=20), functions=("T2",),
                          regions=table3_partition(n=24))
     errors = []
@@ -206,7 +206,7 @@ def test_clamp_count_includes_the_workers(at_workers):
     src = sample_gaussian_matrix(10, 200, seed=2)
     vals = src.values.copy()
     vals[5], vals[7] = vals[4], vals[6]
-    src = DataSource(vals, src.node_ids, src.timestamps)
+    src = DataSource(vals, src.node_ids)
     cfg = DetectorConfig(window=WindowSpec(T=20), functions=("LRF", "DET"))
     moved = []
     for n in (1, 2):
