@@ -27,7 +27,8 @@ from .detect import (
     DetectorConfig,
     FunctionSeries,
     IndicatorSeries,
-    check_kappa4,
+    _check_moments,
+    _too_wide,
     extract_events,
     read_indicator_csv,
     regional_series,
@@ -35,13 +36,13 @@ from .detect import (
     write_events_json,
     write_indicator_csv,
 )
-from .errors import ConfigurationError, NumericalFailureError, ParameterError, RmtDetectError
+from .errors import ConfigurationError, ParameterError, RmtDetectError
 from .ingest import MISSING_POLICIES, WindowSpec, _json_object, load_csv, load_partition, write_csv
 from .les import FUNCTIONS, theoretical_moments
 from .mapgen import render_run
 from .pca import residual_series, train
 from .rmm import DEGENERATE_POLICIES
-from .synth import generate, load_scenario, table3_partition, table3_scenario
+from .synth import _check_fits, generate, load_scenario, table3_partition, table3_scenario
 
 ENV_SEED = "RMT_EED_SEED"
 
@@ -256,7 +257,8 @@ def _cmd_simulate(args) -> int:
         raise ConfigurationError("cli: simulate needs exactly one of --preset / --scenario")
     out = Path(args.out)
     if args.preset:
-        partition = table3_partition(n=args.n)  # first: it names --n
+        _check_fits(args.n, args.t)  # before table3_partition builds --n node ids
+        partition = table3_partition(n=args.n)  # names a --n below 6
         sc = table3_scenario(n=args.n, t=args.t, noise_std=args.noise_std)
     else:
         sc = load_scenario(args.scenario)
@@ -316,23 +318,17 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    check_kappa4(args.kappa4)
+    # every rule but --N >= 1 is the sweep's own, so theory fails as analyze does
     if args.N < 1:
         raise ParameterError(f"cli: theory needs --N >= 1, got {args.N}")
-    if args.L < 1:
-        raise ParameterError(f"cli: theory needs a ring product depth (--L) >= 1, got {args.L}")
-    if args.N >= args.T:  # the sweep's rule: the log-domain functions diverge at c = 1
-        logs = " and ".join(f.name for f in FUNCTIONS.values() if f.domain == "positive")
-        raise ParameterError(f"cli: theory needs N < T for {logs}, got N={args.N}, T={args.T}")
+    cfg = DetectorConfig(window=WindowSpec(T=args.T, L=args.L), functions=tuple(FUNCTIONS),
+                         kappa4=args.kappa4)
+    if why := _too_wide(args.N, cfg):
+        raise ParameterError(f"cli: theory (--N) has {why}")
     rows = [(f.name, *theoretical_moments(f, args.N, args.T, args.L, args.kappa4))
             for f in FUNCTIONS.values()]
     for name, e, d in rows:
-        if not (np.isfinite(e) and np.isfinite(d) and d >= 0):
-            # near c = 0, the MSR variance E[r^2] - E[r]^2 cancels below zero
-            raise NumericalFailureError(
-                f"cli: theory at N={args.N}, T={args.T}: {name} moments E={e}, D={d} are "
-                "not a finite mean and nonnegative variance"
-            )
+        _check_moments(f"function {name}", args.N, args.T, "theoretical", e, d)
     print(f"N={args.N} T={args.T} c={args.N / args.T:.4f} L={args.L} kappa4={args.kappa4}")
     print(f"{'function':<10}{'E':>14}{'D':>14}{'c_v':>12}")
     for name, e, d in rows:

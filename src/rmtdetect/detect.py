@@ -75,15 +75,6 @@ INDICATOR_COLUMNS = ("t", "region", "function", "tau", "eta", "flag")
 KAPPA4_MIN = -2.0
 
 
-def check_kappa4(kappa4: float) -> None:
-    """The one rule for kappa4, shared by the sweep and the theory table."""
-    if not (np.isfinite(kappa4) and kappa4 >= KAPPA4_MIN):
-        raise ParameterError(
-            f"detect: kappa4 (--kappa4) must be finite and >= {KAPPA4_MIN:g}, the least "
-            f"excess kurtosis of any distribution; got {kappa4}"
-        )
-
-
 @dataclass(frozen=True)
 class DetectorConfig:
     window: WindowSpec
@@ -104,7 +95,11 @@ class DetectorConfig:
             raise ParameterError(
                 f"detect: threshold k (--k) must be finite and positive, got {self.threshold_k}"
             )
-        check_kappa4(self.kappa4)
+        if not (np.isfinite(self.kappa4) and self.kappa4 >= KAPPA4_MIN):
+            raise ParameterError(
+                f"detect: kappa4 (--kappa4) must be finite and >= {KAPPA4_MIN:g}, the least "
+                f"excess kurtosis of any distribution; got {self.kappa4}"
+            )
         object.__setattr__(self, "functions", tuple(self.functions))
         if not self.functions:
             raise ParameterError(
@@ -312,13 +307,20 @@ def _track(
             e_flag, d_flag = mc_ring_msr(N, cfg.window.T, cfg.window.L, reps=cfg.mc_reps,
                                          seed_base=cfg.base_seed)
             mode = "monte-carlo"
-    if not (np.isfinite(e_flag) and np.isfinite(d_flag) and d_flag >= 0):
-        # a NaN reference makes every comparison False: the track would never flag
-        raise NumericalFailureError(
-            f"detect: block {block!r}, function {f.name}: {mode} reference moments "
-            f"E={e_flag}, D={d_flag} are not a finite mean and nonnegative variance"
-        )
+    _check_moments(f"block {block!r}, function {f.name}", N, cfg.window.T, mode, e_flag, d_flag)
     return FunctionSeries.judged(tau, e_eta, e_flag, d_flag, cfg.threshold_k, calib)
+
+
+def _check_moments(track: str, N: int, T: int, mode: str, e: float, d: float) -> None:
+    """The one rule for reference moments, shared by the sweep and the
+    theory table: a finite mean and a nonnegative variance. A NaN reference
+    makes every comparison False, so its track would never flag; near c = 0
+    the MSR variance E[r^2] - E[r]^2 cancels below zero."""
+    if not (np.isfinite(e) and np.isfinite(d) and d >= 0):
+        raise NumericalFailureError(
+            f"detect: {track} at N={N}, T={T}: {mode} reference moments E={e}, D={d} are "
+            "not a finite mean and nonnegative variance"
+        )
 
 
 def sweep(src: DataSource, cfg: DetectorConfig) -> IndicatorSeries:

@@ -214,11 +214,9 @@ def _apply_policy(vals: np.ndarray, nid: str, policy: str, path, row: int) -> np
             raise MalformedInputError(
                 f"ingest: {path} row {row} ({nid!r}): leading cell missing, nothing to fill from"
             )
-        out = vals.copy()
-        for j in range(1, len(out)):
-            if not np.isfinite(out[j]):
-                out[j] = out[j - 1]
-        return out
+        # each cell takes the value of the last finite cell at or before it
+        last = np.where(missing, 0, np.arange(len(vals)))
+        return vals[np.maximum.accumulate(last)]
     # row-mean
     with np.errstate(over="ignore", invalid="ignore"):
         mean = vals[~missing].mean()

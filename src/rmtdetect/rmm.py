@@ -192,20 +192,26 @@ def singular_value_equivalent(
     return _hermitian_sqrt(_symmetric_gram(X)) @ haar_unitary(X.shape[0], seed)
 
 
-def _rescaled_product(factors) -> np.ndarray:
-    """Row-rescaled product of the factors, taken in order. A product or a
+def _rescaled_product(factors, L: int) -> np.ndarray:
+    """Row-rescaled product of the L factors, taken in order. A product or a
     row spread that leaves float64 raises NumericalFailureError, naming the
-    depth: each factor scales the rows by about sqrt(T)."""
-    z, depth = None, 0
+    depth L: each factor scales the rows by about sqrt(T). The product
+    stops at the first factor that takes it out of float64, so no later
+    factor is made."""
+    factors = iter(factors)
     with np.errstate(over="ignore", invalid="ignore"):
+        z = next(factors, None)
+        if z is None:
+            raise ParameterError(f"rmm: ring product depth (--L) must be >= 1, got {L}")
         for xu in factors:
-            z = xu if z is None else z @ xu
-            depth += 1
+            z = z @ xu
+            if not np.isfinite(z).all():
+                break
         mu = z.mean(axis=1, keepdims=True)
         sd = np.sqrt((np.abs(z - mu) ** 2).mean(axis=1, keepdims=True))
     if not np.isfinite(sd).all():  # an inf or NaN entry of z makes its row's sd one too
         raise NumericalFailureError(
-            f"rmm: the ring product of depth {depth} (--L) or its row spread overflows "
+            f"rmm: the ring product of depth {L} (--L) or its row spread overflows "
             "float64; pick a smaller ring product depth (--L)"
         )
     if (sd == 0).any():
@@ -230,7 +236,7 @@ def ring_product(windows: Sequence[StandardizedMatrix], seed: SeedLike) -> RingP
         if wdw.N != n:
             raise ShapeError(f"rmm: window row counts differ: {wdw.N} vs {n}")
     rng = as_generator(seed)
-    z = _rescaled_product(singular_value_equivalent(wdw, rng) for wdw in windows)
+    z = _rescaled_product((singular_value_equivalent(wdw, rng) for wdw in windows), len(windows))
     return RingProduct(z)
 
 

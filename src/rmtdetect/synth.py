@@ -10,6 +10,7 @@ noise looks like to the detector: a correlated deviation, not physics.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -95,18 +96,37 @@ class Scenario:
         return tuple(f"{self.node_prefix}{i + 1}" for i in range(self.n))
 
 
+def _too_big(n: int, t: int) -> ParameterError:
+    return ParameterError(
+        f"synth: a source of --n {n} nodes by --t {t} samples needs {8 * n * t} bytes of "
+        "float64 values, more than memory holds"
+    )
+
+
+def _check_fits(n: int, t: int) -> None:
+    """Refuse, before anything is allocated, an n x t float64 source larger
+    than physical memory."""
+    if 8 * n * t > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise _too_big(n, t)
+
+
 def generate(sc: Scenario, seed: SeedLike = 0) -> DataSource:
     """Draw the scenario: i.i.d. Gaussian noise plus the segment schedule.
 
     Segment contributions are additive and order-independent within a
     sample; with coupling 0, unaffected nodes are statistically identical
-    to the no-segment baseline.
+    to the no-segment baseline. A source that memory cannot hold is a
+    ParameterError (_check_fits, or a MemoryError from the draw).
     """
+    _check_fits(sc.n, sc.t)
     rng = as_generator(seed)
     # The draw becomes DataSource.values. Segments tile [0, t), so each
     # segment turns its own column block into values in place, and no
     # other n x t array is made.
-    values = rng.standard_normal((sc.n, sc.t))
+    try:
+        values = rng.standard_normal((sc.n, sc.t))
+    except MemoryError:
+        raise _too_big(sc.n, sc.t) from None
     # a float product overflows to inf without a warning, and exactly where
     # scaling the largest draw in the array would
     if not np.isfinite(float(max(-values.min(), values.max())) * sc.noise_std):

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rmtdetect import (
-    DataSource, DetectorConfig, WindowSpec, load_csv, sample_gaussian_matrix, sweep, write_csv,
+    DataSource, DetectorConfig, WindowSpec, haar_unitary, load_csv, sample_gaussian_matrix, sweep,
+    write_csv,
 )
 from rmtdetect.cli import _build_parser, main
 
@@ -102,6 +103,28 @@ def test_ring_product_too_deep_for_float64_is_named(tmp_path, capsys, depth):
                    "depth (--L)\n")
 
 
+def test_ring_product_too_deep_draws_no_factor_after_the_overflow(tmp_path, capsys,
+                                                                   monkeypatch):
+    # every factor after the product overflowed still drew a Haar matrix:
+    # --L 20000 on one 118 x 1500 window drew all 20,000 before it failed
+    import rmtdetect.les as les_module
+
+    draws = []
+
+    def counted(n, rng):
+        draws.append(n)
+        return haar_unitary(n, rng)
+
+    monkeypatch.setattr(les_module, "haar_unitary", counted)
+    data = tmp_path / "g.csv"
+    write_csv(sample_gaussian_matrix(6, 20, seed=1), data)  # one window: it runs in this process
+    code, out, err = run_cli(capsys, "analyze", "--input", str(data), "--T", "20",
+                             "--L", str(10**6), "--out", str(tmp_path / "r"))
+    assert (code, out) == (2, "")
+    assert "ring product of depth 1000000 (--L) or its row spread overflows" in err
+    assert 0 < len(draws) < 1000
+
+
 @pytest.mark.parametrize(
     "command, flag, value",
     [
@@ -132,10 +155,29 @@ def test_non_finite_threshold_or_kappa4_is_an_input_error(
 def test_theory_needs_fewer_nodes_than_samples(capsys):
     code, out, err = run_cli(capsys, "theory", "--N", "20", "--T", "20")
     assert code == 1 and out == ""
-    assert "ParameterError" in err and "DET and LRF" in err and "N=20, T=20" in err
+    assert "ParameterError" in err and "--N" in err
+    assert "20 nodes for window length 20; DET, LRF need N < T" in err
     code, out, _ = run_cli(capsys, "theory", "--N", "19", "--T", "20")
     assert code == 0
     assert sorted(_theory_table(out)) == ["DET", "LRF", "MSR", "T2", "T3", "T4"]
+
+
+@pytest.mark.parametrize("flag, value", [("--T", "-5"), ("--T", "0"), ("--L", "0"),
+                                         ("--kappa4", "-5")])
+def test_theory_and_analyze_apply_one_window_and_kappa4_rule(small_run, tmp_path, capsys,
+                                                             flag, value):
+    # theory kept copies of these rules that read otherwise: for --T -5 it
+    # said "needs N < T for DET and LRF", where analyze names --T
+    _, data, _ = small_run
+    out = tmp_path / "out"
+    theory = run_cli(capsys, "theory", "--N", "10", "--T", "20", flag, value)
+    analyze = run_cli(capsys, "analyze", "--input", str(data), "--T", "60", "--out", str(out),
+                      flag, value)
+    assert theory == analyze
+    code, stdout, err = theory
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error [ParameterError]") and f"({flag})" in err and value in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("n, t", [("-1", "0"), ("0", "5")])
@@ -275,6 +317,8 @@ def test_simulate_custom_scenario(capsys, tmp_path):
         # a repeated node was applied once
         ({"start": 200, "end": 400, "kind": "step", "level": 1, "nodes": [1, 1]},
          "segment [200, 400) lists node 1 twice"),
+        ({"start": 200, "end": 400, "kind": "ramp", "level": 1, "slope": 1e307},
+         "ramp segment [200, 400) gives values beyond float64 (level 1.0, slope 1e+307)"),
     ],
 )
 def test_scenario_segment_that_cannot_be_drawn_is_named(capsys, tmp_path, segment, named):
@@ -286,6 +330,48 @@ def test_scenario_segment_that_cannot_be_drawn_is_named(capsys, tmp_path, segmen
     code, stdout, err = run_cli(capsys, "simulate", "--scenario", str(sc_path), "--out", str(out))
     assert code == 1 and stdout == ""
     assert "error [ParameterError]" in err and named in err
+    assert not out.exists()
+
+
+def test_simulate_source_memory_cannot_hold_is_an_input_error(capsys, tmp_path, monkeypatch):
+    # a 7.28 TiB preset ended in numpy's _ArrayMemoryError traceback, and a
+    # 2**31 x 2**31 scenario in "ValueError: array is too big"; neither case
+    # here asks the system for memory
+    import rmtdetect.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("built the node ids before the size check")
+
+    monkeypatch.setattr(cli, "table3_partition", never)
+    sc_path = tmp_path / "sc.json"
+    sc_path.write_text(json.dumps({"n": 2**31, "t": 2**31}))
+    out = tmp_path / "data.csv"
+    cases = [(["--scenario", str(sc_path)], 2**31, 2**31),
+             (["--preset", "table3", "--n", "100000", "--t", "10000000"], 100000, 10000000)]
+    for flags, n, t in cases:
+        code, stdout, err = run_cli(capsys, "simulate", *flags, "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err == (f"error [ParameterError]: synth: a source of --n {n} nodes by --t {t} "
+                       f"samples needs {8 * n * t} bytes of float64 values, more than memory "
+                       "holds\n")
+    assert not out.exists()
+
+
+def test_simulate_draw_that_memory_refuses_is_an_input_error(capsys, tmp_path, monkeypatch):
+    import rmtdetect.synth as synth
+
+    class Refusing:
+        def standard_normal(self, size):
+            raise MemoryError
+
+    monkeypatch.setattr(synth, "as_generator", lambda seed: Refusing())
+    sc_path = tmp_path / "sc.json"
+    sc_path.write_text(json.dumps({"n": 4, "t": 10}))
+    out = tmp_path / "data.csv"
+    code, stdout, err = run_cli(capsys, "simulate", "--scenario", str(sc_path), "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert err == ("error [ParameterError]: synth: a source of --n 4 nodes by --t 10 samples "
+                   "needs 320 bytes of float64 values, more than memory holds\n")
     assert not out.exists()
 
 
@@ -826,7 +912,7 @@ INPUT_EXITS = [
     ("mc-reps-one", ["analyze", "--mc-reps", "1"], None,
      "ParameterError", "mc_reps (--mc-reps) must be >= 2 for a Monte Carlo variance, got 1"),
     ("theory-product-depth-zero", ["theory", "--N", "10", "--T", "20", "--L", "0"], None,
-     "ParameterError", "theory needs a ring product depth (--L) >= 1, got 0"),
+     "ParameterError", "ring product depth (--L) must be >= 1, got 0"),
     ("layout-without-coordinates", ["mapframes", "--layout", "regions.json"], None,
      "ConfigurationError", "regions.json carries no layout coordinates"),
     # the calibration and map-frame checks named no flag

@@ -24,6 +24,7 @@ from rmtdetect import (
 import rmtdetect.detect as detect_module
 import rmtdetect.les as les_module
 from rmtdetect.detect import (
+    Event,
     FunctionSeries,
     IndicatorSeries,
     read_indicator_csv,
@@ -640,6 +641,22 @@ def test_read_indicator_csv_input_exits(tmp_path, rows, named):
     with pytest.raises(MalformedInputError) as info:
         read_indicator_csv(p)
     assert info.value.exit_code == 1 and named in str(info.value) and str(p) in str(info.value)
+
+
+def test_read_indicator_csv_skips_blank_rows(tmp_path):
+    p = tmp_path / "indicator.csv"
+    p.write_text("t,region,function,tau,eta,flag\r\n0,ALL,MSR,0.5,1.0,normal\r\n\r\n"
+                 "1,ALL,MSR,0.7,1.4,anomalous\r\n\r\n")
+    back = read_indicator_csv(p)
+    np.testing.assert_array_equal(back.t, [0, 1])
+    fs = back.data[("ALL", "MSR")]
+    assert (fs.tau.tolist(), fs.eta.tolist(), fs.flag.tolist()) == (
+        [0.5, 0.7], [1.0, 1.4], [False, True])
+
+
+def test_event_must_not_end_before_it_starts():
+    with pytest.raises(ContractError, match="event must end no earlier than it starts"):
+        Event(region="ALL", function="MSR", start_t=5, end_t=4, peak_sigma=1.0, direction=1)
 
 
 def test_events_json_schema(tmp_path):

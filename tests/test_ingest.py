@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rmtdetect import (
     DataSource,
@@ -141,8 +141,19 @@ def _expected_load(grid, policy):
     return out
 
 
+# forward-fill over consecutive gaps and up to a trailing gap
+FILL_GRIDS = [
+    ([[1.5, None, None, 4.0, None], [2.0, -3.0, 5.0, 7.0, 1.0]],
+     [["1.5", "", "nan", "4.0", "inf"], ["2.0", "-3.0", "5.0", "7.0", "1.0"]]),
+    ([[-0.0, None, None, None], [1.0, None, 3.0, None]],
+     [["-0.0", " ", "-inf", "NaN"], ["1.0", "", "3.0", ""]]),
+]
+
+
 @settings(max_examples=150, deadline=None)
 @given(grid_text=_grids(), policy=st.sampled_from(MISSING_POLICIES))
+@example(grid_text=FILL_GRIDS[0], policy="forward-fill")
+@example(grid_text=FILL_GRIDS[1], policy="forward-fill")
 def test_missing_cell_policies_match_reference(grid_text, policy):
     grid, text = grid_text
     body = "".join(f"n{i}," + ",".join(row) + "\n" for i, row in enumerate(text))
@@ -281,6 +292,24 @@ def test_datasource_rejects_duplicates_and_tiny_shapes():
         DataSource(np.ones((4, 3)), ("a", "b", "c", "b"))
     with pytest.raises(ParameterError):
         DataSource(np.ones((1, 5)), ("a",))
+
+
+DATA_SOURCE_EXITS = [
+    ("node-id-count", lambda: DataSource(np.ones((3, 4)), ("a", "b")), "2 node ids for 3 rows"),
+    ("non-finite-cell", lambda: DataSource(np.array([[1.0, np.nan], [2.0, 3.0]]), ("a", "b")),
+     "data source contains non-finite cells"),
+    ("restrict-to-an-unknown-node",
+     lambda: DataSource(np.ones((2, 3)), ("a", "b")).restrict(("a", "zz")),
+     "unknown node id 'zz'"),
+]
+
+
+@pytest.mark.parametrize("make, named", [c[1:] for c in DATA_SOURCE_EXITS],
+                         ids=[c[0] for c in DATA_SOURCE_EXITS])
+def test_datasource_contract_exits(make, named):
+    with pytest.raises(ContractError) as info:
+        make()
+    assert info.value.exit_code == 1 and named in str(info.value)
 
 
 def test_datasource_is_immutable(gaussian_source):

@@ -124,6 +124,18 @@ def test_lln_det_diverges_at_critical_ratio():
         lln_expectation(DET, MarchenkoPastur(kind="mp2", c=1.0), N=10)
 
 
+@pytest.mark.parametrize(
+    "moment",
+    [lambda f, law: lln_expectation(f, law, N=10), lambda f, law: clt_variance(f, law.c)],
+    ids=["lln-expectation", "clt-variance"],
+)
+@pytest.mark.parametrize("f", [DET, LRF], ids=["DET", "LRF"])
+def test_log_domain_moments_diverge_at_the_critical_ratio_by_one_rule(moment, f):
+    with pytest.raises(DivergenceError,
+                       match=rf"^les: {f.name} diverges against mp2, whose support touches 0$"):
+        moment(f, MarchenkoPastur(kind="mp2", c=1.0))
+
+
 # --- MSR moments ----------------------------------------------------------------
 
 
@@ -237,6 +249,12 @@ def test_mc_ring_msr_caches_and_tracks_pipeline():
     assert a == b
     mu, var = a
     assert 0.8 < mu < 1.1 and var > 0
+
+
+def test_mc_ring_msr_needs_a_product_depth_of_at_least_one():
+    # an empty product ended in a bare AttributeError
+    with pytest.raises(ParameterError, match=r"ring product depth \(--L\) must be >= 1, got 0"):
+        mc_ring_msr(4, 10, L=0, reps=2)
 
 
 def test_unknown_function_name():

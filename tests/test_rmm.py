@@ -46,6 +46,11 @@ def test_precision_error_names_plain_row_indices():
         standardize(x)
 
 
+def test_unknown_degenerate_policy_is_named():
+    with pytest.raises(ParameterError, match=r"unknown degenerate-row policy 'bogus'$"):
+        standardize(np.ones((2, 4)), policy="bogus")
+
+
 def test_constant_row_jitter_policy_is_seeded():
     x = np.array([[5.0, 5.0, 5.0, 5.0], [1.0, 2.0, 3.0, 4.0]])
     a = standardize(x, policy="jitter", seed=9).values

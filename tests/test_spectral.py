@@ -222,6 +222,30 @@ def test_esd_distance_detects_gross_mismatch():
     assert esd_distance(s, law) >= 0.2
 
 
+SPECTRAL_EXITS = [
+    ("unknown-spectrum-kind", lambda: SpectrumSet(np.ones(2), "bogus"), ParameterError,
+     "unknown spectrum kind 'bogus'"),
+    ("eigen-general-not-square", lambda: eigen_general(np.ones((2, 3))), ContractError,
+     "need a square matrix, got shape (2, 3)"),
+    ("ring-law-depth-zero", lambda: RingLaw(c=0.5, L=0), ParameterError,
+     "ring law needs L >= 1, got 0"),
+    ("esd-of-an-empty-spectrum",
+     lambda: esd_distance(SpectrumSet(np.array([]), "covariance"), MarchenkoPastur(c=0.5)),
+     ContractError, "empty spectrum"),
+    ("mean-phi-non-finite-integrand",
+     lambda: MarchenkoPastur(c=0.5).mean_phi(lambda x: np.full_like(x, np.inf)),
+     NumericalFailureError, "non-finite integrand while integrating against mp2(c=0.5"),
+]
+
+
+@pytest.mark.parametrize("make, error, named", [c[1:] for c in SPECTRAL_EXITS],
+                         ids=[c[0] for c in SPECTRAL_EXITS])
+def test_spectral_typed_exits(make, error, named):
+    with pytest.raises(error) as info:
+        make()
+    assert named in str(info.value)
+
+
 def test_esd_distance_kind_mismatch():
     s = SpectrumSet(np.array([1.0, 2.0]), "covariance")
     with pytest.raises(ContractError):

@@ -154,6 +154,23 @@ def test_scenario_noise_std_must_be_finite():
         scenario_from_dict({"n": 4, "t": 10, "noise_std": float("nan")})
 
 
+SCENARIO_EXITS = [
+    ("below-two-by-two", {"n": 1, "t": 5}, ParameterError,
+     "scenario must be at least 2x2, got 1x5"),
+    ("segment-node-out-of-range",
+     {"n": 4, "t": 10, "segments": [{"start": 0, "end": 10, "kind": "step", "nodes": [4]}]},
+     ConfigurationError, "segment node index outside 0..3"),
+]
+
+
+@pytest.mark.parametrize("raw, error, named", [c[1:] for c in SCENARIO_EXITS],
+                         ids=[c[0] for c in SCENARIO_EXITS])
+def test_scenario_input_exits(raw, error, named):
+    with pytest.raises(error) as info:
+        scenario_from_dict(raw)
+    assert info.value.exit_code == 1 and named in str(info.value)
+
+
 def test_segment_rejects_a_repeated_node():
     with pytest.raises(ParameterError, match=r"segment \[0, 10\) lists node 1 twice"):
         Segment(0, 10, "step", level=1.0, nodes=(0, 1, 2, 1))
